@@ -228,7 +228,15 @@ mod tests {
                     let va = boxed.view(now, client, &mut ca, &mut rng_a);
                     let vb = dispatch.view(now, client, &mut cb, &mut rng_b);
                     assert_eq!(va.loads, vb.loads, "{} at step {step}", spec.label());
-                    assert_eq!(va.ages, vb.ages, "{} at step {step}", spec.label());
+                    assert_eq!(va.ages.is_some(), vb.ages.is_some(), "{}", spec.label());
+                    for server in 0..servers {
+                        assert_eq!(
+                            va.entry_age(server).to_bits(),
+                            vb.entry_age(server).to_bits(),
+                            "{} at step {step}",
+                            spec.label()
+                        );
+                    }
                 }
                 boxed.after_placement(now, client, &ca);
                 dispatch.after_placement(now, client, &cb);

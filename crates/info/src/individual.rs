@@ -5,7 +5,7 @@
 //! can be checked (see the `ext_individual` experiment).
 
 use staleload_cluster::Cluster;
-use staleload_policies::{InfoAge, LoadView};
+use staleload_policies::{EntryAges, InfoAge, LoadView};
 use staleload_sim::{EventQueue, SimRng};
 
 use crate::corrupt::Corruptor;
@@ -36,8 +36,6 @@ pub struct IndividualBoard {
     refreshed_at: Vec<f64>,
     /// Invariant: `refresh_sum == refreshed_at.iter().sum()`.
     refresh_sum: f64,
-    /// Scratch buffer for per-entry ages handed out by `view`.
-    ages: Vec<f64>,
     pending: EventQueue<usize>,
     channel: Option<LossChannel>,
     corruptor: Option<Corruptor>,
@@ -64,7 +62,6 @@ impl IndividualBoard {
             board: vec![0; n],
             refreshed_at: vec![0.0; n],
             refresh_sum: 0.0,
-            ages: vec![0.0; n],
             pending,
             channel: None,
             corruptor: None,
@@ -100,6 +97,11 @@ impl IndividualBoard {
     /// The per-server refresh period `T`.
     pub fn period(&self) -> f64 {
         self.period
+    }
+
+    /// When each entry's current value was sampled.
+    pub fn entry_times(&self) -> &[f64] {
+        &self.refreshed_at
     }
 
     /// Mean age of the board entries at time `now`.
@@ -172,14 +174,15 @@ impl InfoModel for IndividualBoard {
         _cluster: &'a mut Cluster,
         _rng: &mut SimRng,
     ) -> LoadView<'a> {
-        let age = self.mean_age(now);
-        for (slot, &at) in self.ages.iter_mut().zip(&self.refreshed_at) {
-            *slot = (now - at).max(0.0);
-        }
         LoadView {
             loads: &self.board,
-            info: InfoAge::Aged { age },
-            ages: Some(&self.ages),
+            info: InfoAge::Aged {
+                age: self.mean_age(now),
+            },
+            ages: Some(EntryAges {
+                sampled: &self.refreshed_at,
+                now,
+            }),
         }
     }
 
@@ -243,7 +246,8 @@ mod tests {
         board.on_event(0.0, &cluster);
         board.on_event(5.0, &cluster);
         let v = board.view(7.0, 0, &mut cluster, &mut rng);
-        assert_eq!(v.ages.unwrap(), &[7.0, 2.0]);
+        assert!(v.ages.is_some(), "boards report per-entry ages");
+        assert_eq!([v.entry_age(0), v.entry_age(1)], [7.0, 2.0]);
     }
 
     #[test]
@@ -279,6 +283,6 @@ mod tests {
         }
         let v = board.view(10.0, 0, &mut cluster, &mut rng);
         assert_eq!(v.loads, &[0]);
-        assert_eq!(v.ages.unwrap(), &[10.0]);
+        assert_eq!(v.entry_age(0), 10.0);
     }
 }

@@ -1,7 +1,7 @@
 //! The periodic-update ("bulletin board") model (§3.1).
 
 use staleload_cluster::Cluster;
-use staleload_policies::{InfoAge, LoadView};
+use staleload_policies::{EntryAges, InfoAge, LoadView};
 use staleload_sim::SimRng;
 
 use crate::corrupt::Corruptor;
@@ -36,8 +36,6 @@ pub struct PeriodicBoard {
     board: Vec<u32>,
     /// When each entry's current value was sampled from the cluster.
     entry_times: Vec<f64>,
-    /// Scratch buffer for per-entry ages handed out by `view`.
-    ages: Vec<f64>,
     phase_start: f64,
     epoch: u64,
     channel: Option<LossChannel>,
@@ -60,7 +58,6 @@ impl PeriodicBoard {
             period,
             board: vec![0; n],
             entry_times: vec![0.0; n],
-            ages: vec![0.0; n],
             phase_start: 0.0,
             epoch: 0,
             channel: None,
@@ -179,9 +176,6 @@ impl InfoModel for PeriodicBoard {
         _cluster: &'a mut Cluster,
         _rng: &mut SimRng,
     ) -> LoadView<'a> {
-        for (age, &at) in self.ages.iter_mut().zip(&self.entry_times) {
-            *age = (now - at).max(0.0);
-        }
         LoadView {
             loads: &self.board,
             info: InfoAge::Phase {
@@ -190,7 +184,10 @@ impl InfoModel for PeriodicBoard {
                 now,
                 epoch: self.epoch,
             },
-            ages: Some(&self.ages),
+            ages: Some(EntryAges {
+                sampled: &self.entry_times,
+                now,
+            }),
         }
     }
 
@@ -256,8 +253,8 @@ mod tests {
         let mut board = PeriodicBoard::new(2, 10.0);
         board.on_event(10.0, &cluster);
         let view = board.view(13.0, 0, &mut cluster, &mut rng);
-        let ages = view.ages.expect("boards report per-entry ages");
-        assert_eq!(ages, &[3.0, 3.0]);
+        assert!(view.ages.is_some(), "boards report per-entry ages");
+        assert_eq!([view.entry_age(0), view.entry_age(1)], [3.0, 3.0]);
     }
 
     #[test]
@@ -275,9 +272,12 @@ mod tests {
             &[1, 0],
             "down server's entry keeps its cold value"
         );
-        let ages = view.ages.unwrap();
-        assert_eq!(ages[0], 0.0);
-        assert_eq!(ages[1], 10.0, "the stale entry's age keeps growing");
+        assert_eq!(view.entry_age(0), 0.0);
+        assert_eq!(
+            view.entry_age(1),
+            10.0,
+            "the stale entry's age keeps growing"
+        );
     }
 
     #[test]
@@ -291,7 +291,7 @@ mod tests {
         board.on_event(20.0, &cluster);
         let view = board.view(20.0, 0, &mut cluster, &mut rng);
         assert_eq!(view.loads, &[0, 0], "every refresh was dropped");
-        assert_eq!(view.ages.unwrap(), &[20.0, 20.0]);
+        assert_eq!([view.entry_age(0), view.entry_age(1)], [20.0, 20.0]);
     }
 
     #[test]

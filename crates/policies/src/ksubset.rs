@@ -1,6 +1,6 @@
 //! Mitzenmacher's `k`-subset family and the full greedy policy.
 
-use staleload_sim::SimRng;
+use staleload_sim::{SimRng, SubsetScratch};
 
 use crate::{least_loaded, Load, LoadView, Policy};
 
@@ -29,7 +29,7 @@ use crate::{least_loaded, Load, LoadView, Policy};
 #[derive(Debug, Clone)]
 pub struct KSubset {
     k: usize,
-    scratch: Vec<usize>,
+    scratch: SubsetScratch,
 }
 
 impl KSubset {
@@ -42,7 +42,7 @@ impl KSubset {
         assert!(k > 0, "k must be at least 1");
         Self {
             k,
-            scratch: Vec::new(),
+            scratch: SubsetScratch::new(),
         }
     }
 
@@ -51,11 +51,9 @@ impl KSubset {
         self.k
     }
 
-    /// Steals cleared buffer capacity from a retired instance.
+    /// Steals buffer capacity from a retired instance.
     pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let mut scratch = prev.scratch;
-        scratch.clear();
-        self.scratch = scratch;
+        self.scratch = prev.scratch;
     }
 }
 

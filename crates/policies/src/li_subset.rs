@@ -1,6 +1,6 @@
 //! Basic LI over a random `k`-subset (reduced load information, §5.7).
 
-use staleload_sim::SimRng;
+use staleload_sim::{SimRng, SubsetScratch};
 
 use crate::li::basic_li_probabilities;
 use crate::{LoadView, Policy};
@@ -31,7 +31,7 @@ use crate::{LoadView, Policy};
 pub struct LiSubset {
     k: usize,
     lambda: f64,
-    subset_scratch: Vec<usize>,
+    subset_scratch: SubsetScratch,
     loads_scratch: Vec<u32>,
     probs: Vec<f64>,
     sort_scratch: Vec<(u32, usize)>,
@@ -53,7 +53,7 @@ impl LiSubset {
         Self {
             k,
             lambda,
-            subset_scratch: Vec::new(),
+            subset_scratch: SubsetScratch::new(),
             loads_scratch: Vec::new(),
             probs: Vec::new(),
             sort_scratch: Vec::new(),
@@ -65,12 +65,11 @@ impl LiSubset {
         let Self {
             k: _,
             lambda: _,
-            mut subset_scratch,
+            subset_scratch,
             mut loads_scratch,
             mut probs,
             mut sort_scratch,
         } = prev;
-        subset_scratch.clear();
         loads_scratch.clear();
         probs.clear();
         sort_scratch.clear();
@@ -103,7 +102,7 @@ impl Policy for LiSubset {
             &mut self.sort_scratch,
         );
         let within = rng.discrete(&self.probs);
-        self.subset_scratch[within]
+        subset[within]
     }
 }
 

@@ -144,9 +144,29 @@ pub struct LoadView<'a> {
     /// Per-server age of each entry, when entries age independently
     /// (bulletin boards under fault injection: dropped/delayed refreshes
     /// and crashed servers leave entries stale past what `info`
-    /// advertises). `None` means every entry is as old as `info` says —
-    /// the paper's fault-free setting.
-    pub ages: Option<&'a [f64]>,
+    /// advertises). The board lends its entry sample times and each age
+    /// is derived on demand, so building a view costs O(1) in `n`.
+    /// `None` means every entry is as old as `info` says — the paper's
+    /// fault-free setting.
+    pub ages: Option<EntryAges<'a>>,
+}
+
+/// Per-entry ages of a view, derived on demand from when each entry was
+/// sampled: entry `i` is `(now - sampled[i]).max(0.0)` old.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EntryAges<'a> {
+    /// When each entry's current value was sampled (index = server id).
+    pub sampled: &'a [f64],
+    /// The decision time the ages are measured at.
+    pub now: f64,
+}
+
+impl EntryAges<'_> {
+    /// The age of entry `server`.
+    #[inline]
+    pub fn get(&self, server: usize) -> f64 {
+        (self.now - self.sampled[server]).max(0.0)
+    }
 }
 
 impl<'a> LoadView<'a> {
@@ -164,7 +184,7 @@ impl<'a> LoadView<'a> {
     /// the view-wide elapsed time.
     pub fn entry_age(&self, server: usize) -> f64 {
         match self.ages {
-            Some(ages) => ages[server],
+            Some(ages) => ages.get(server),
             None => self.info.elapsed(),
         }
     }

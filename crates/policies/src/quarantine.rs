@@ -204,13 +204,15 @@ impl<P: Policy> Policy for Quarantine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Greedy, InfoAge, Random};
+    use crate::{EntryAges, Greedy, InfoAge, Random};
 
-    fn aged_view<'a>(loads: &'a [u32], ages: &'a [f64]) -> LoadView<'a> {
+    /// A view at `now = 0` whose entries were sampled at `sampled`, so
+    /// entry `i` is exactly `-sampled[i]` old.
+    fn aged_view<'a>(loads: &'a [u32], sampled: &'a [f64]) -> LoadView<'a> {
         LoadView {
             loads,
             info: InfoAge::Aged { age: 1.0 },
-            ages: Some(ages),
+            ages: Some(EntryAges { sampled, now: 0.0 }),
         }
     }
 
@@ -219,7 +221,7 @@ mod tests {
         let mut rng = SimRng::from_seed(1);
         let mut q = Quarantine::new(Greedy, 5.0, 50.0);
         // Server 0 advertises an idle queue but has been silent 20 units.
-        let view = aged_view(&[0, 2, 3], &[20.0, 1.0, 1.0]);
+        let view = aged_view(&[0, 2, 3], &[-20.0, -1.0, -1.0]);
         for i in 0..200 {
             q.observe_arrival(i as f64 * 0.01);
             assert_ne!(q.select(&view, &mut rng), 0);
@@ -234,11 +236,11 @@ mod tests {
         let mut q = Quarantine::new(Greedy, 5.0, 10.0);
         let loads = [0u32, 2];
         q.observe_arrival(0.0);
-        q.select(&aged_view(&loads, &[20.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[-20.0, -1.0]), &mut rng);
         assert_eq!(q.ejections(), 1);
         // Quarantine expires at t=10; by then the entry is fresh again.
         q.observe_arrival(11.0);
-        let pick = q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        let pick = q.select(&aged_view(&loads, &[-1.0, -1.0]), &mut rng);
         assert_eq!(q.readmissions(), 1);
         assert_eq!(q.quarantined_count(), 0);
         assert_eq!(pick, 0, "readmitted idle server is selectable again");
@@ -249,7 +251,7 @@ mod tests {
         let mut rng = SimRng::from_seed(3);
         let mut q = Quarantine::new(Greedy, 5.0, 10.0);
         let loads = [0u32, 2];
-        let stale = [100.0, 1.0];
+        let stale = [-100.0, -1.0];
         q.observe_arrival(0.0);
         q.select(&aged_view(&loads, &stale), &mut rng);
         // First probe at t=10 fails -> next interval is 20 (until t=30).
@@ -257,12 +259,12 @@ mod tests {
         q.select(&aged_view(&loads, &stale), &mut rng);
         // Still quarantined at t=25 (< 31): no readmission even if fresh.
         q.observe_arrival(25.0);
-        q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[-1.0, -1.0]), &mut rng);
         assert_eq!(q.readmissions(), 0);
         assert_eq!(q.quarantined_count(), 1);
         // The doubled interval expires by t=35: fresh entry readmits.
         q.observe_arrival(35.0);
-        q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[-1.0, -1.0]), &mut rng);
         assert_eq!(q.readmissions(), 1);
     }
 
@@ -270,7 +272,7 @@ mod tests {
     fn all_quarantined_fails_open() {
         let mut rng = SimRng::from_seed(4);
         let mut q = Quarantine::new(Greedy, 5.0, 50.0);
-        let view = aged_view(&[0, 1], &[20.0, 20.0]);
+        let view = aged_view(&[0, 1], &[-20.0, -20.0]);
         q.observe_arrival(0.0);
         let pick = q.select(&view, &mut rng);
         assert!(pick < 2);
@@ -285,8 +287,8 @@ mod tests {
         let mut q = Quarantine::new(Greedy, 5.0, 50.0);
         let mut plain = Greedy;
         let loads = [4u32, 0, 2, 1];
-        let ages = [1.0; 4];
-        let view = aged_view(&loads, &ages);
+        let sampled = [-1.0; 4];
+        let view = aged_view(&loads, &sampled);
         for i in 0..200 {
             q.observe_arrival(i as f64 * 0.1);
             assert_eq!(q.select(&view, &mut rng_a), plain.select(&view, &mut rng_b));
@@ -302,9 +304,9 @@ mod tests {
         let mut q = Quarantine::new(Random, 5.0, 10.0);
         let loads = [0u32, 2];
         q.observe_arrival(0.0);
-        q.select(&aged_view(&loads, &[20.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[-20.0, -1.0]), &mut rng);
         q.observe_arrival(11.0);
-        q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[-1.0, -1.0]), &mut rng);
         let t = q.telemetry();
         assert_eq!(t.ejections, 1);
         assert_eq!(t.readmissions, 1);

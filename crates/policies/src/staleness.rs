@@ -82,8 +82,8 @@ impl<P: Policy> Policy for StalenessGate<P> {
         let mut valid = 0usize;
         self.masked.clear();
         self.masked
-            .extend(view.loads.iter().zip(ages).map(|(&load, &age)| {
-                if age <= self.cutoff {
+            .extend(view.loads.iter().enumerate().map(|(server, &load)| {
+                if ages.get(server) <= self.cutoff {
                     valid += 1;
                     load
                 } else {
@@ -113,13 +113,15 @@ impl<P: Policy> Policy for StalenessGate<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BasicLi, Greedy, InfoAge, Random};
+    use crate::{BasicLi, EntryAges, Greedy, InfoAge, Random};
 
-    fn aged_view<'a>(loads: &'a [Load], ages: &'a [f64]) -> LoadView<'a> {
+    /// A view at `now = 0` whose entries were sampled at `sampled`, so
+    /// entry `i` is exactly `-sampled[i]` old.
+    fn aged_view<'a>(loads: &'a [Load], sampled: &'a [f64]) -> LoadView<'a> {
         LoadView {
             loads,
             info: InfoAge::Aged { age: 1.0 },
-            ages: Some(ages),
+            ages: Some(EntryAges { sampled, now: 0.0 }),
         }
     }
 
@@ -128,7 +130,7 @@ mod tests {
         let mut rng = SimRng::from_seed(1);
         let mut gate = StalenessGate::new(Greedy, 5.0);
         // Server 0 looks idle but its entry is 20 time units old.
-        let view = aged_view(&[0, 2, 3], &[20.0, 1.0, 1.0]);
+        let view = aged_view(&[0, 2, 3], &[-20.0, -1.0, -1.0]);
         for _ in 0..200 {
             assert_ne!(gate.select(&view, &mut rng), 0);
         }
@@ -138,7 +140,7 @@ mod tests {
     fn all_stale_falls_back_to_uniform_random() {
         let mut rng = SimRng::from_seed(2);
         let mut gate = StalenessGate::new(Greedy, 5.0);
-        let view = aged_view(&[0, 9, 9], &[10.0, 10.0, 10.0]);
+        let view = aged_view(&[0, 9, 9], &[-10.0, -10.0, -10.0]);
         let mut seen = [0usize; 3];
         for _ in 0..3000 {
             seen[gate.select(&view, &mut rng)] += 1;
@@ -156,8 +158,8 @@ mod tests {
         let mut gate = StalenessGate::new(BasicLi::new(0.9), 5.0);
         let mut plain = BasicLi::new(0.9);
         let loads = [4, 0, 2, 1];
-        let ages = [1.0; 4];
-        let view = aged_view(&loads, &ages);
+        let sampled = [-1.0; 4];
+        let view = aged_view(&loads, &sampled);
         for _ in 0..100 {
             assert_eq!(
                 gate.select(&view, &mut rng_a),
@@ -201,7 +203,7 @@ mod tests {
         let mut rng = SimRng::from_seed(5);
         let mut gate = StalenessGate::new(BasicLi::new(0.9), 5.0);
         // Both valid servers are busier than the stale one claims to be.
-        let view = aged_view(&[0, 3, 3], &[30.0, 0.5, 0.5]);
+        let view = aged_view(&[0, 3, 3], &[-30.0, -0.5, -0.5]);
         let mut seen = [0usize; 3];
         for _ in 0..2000 {
             seen[gate.select(&view, &mut rng)] += 1;

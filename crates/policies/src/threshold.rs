@@ -1,6 +1,6 @@
 //! The threshold classification policy.
 
-use staleload_sim::SimRng;
+use staleload_sim::{SimRng, SubsetScratch};
 
 use crate::{Load, LoadView, Policy};
 
@@ -91,7 +91,7 @@ impl Policy for Threshold {
 pub struct ProbeThreshold {
     probes: usize,
     threshold: Load,
-    scratch: Vec<usize>,
+    scratch: SubsetScratch,
 }
 
 impl ProbeThreshold {
@@ -105,7 +105,7 @@ impl ProbeThreshold {
         Self {
             probes,
             threshold,
-            scratch: Vec::new(),
+            scratch: SubsetScratch::new(),
         }
     }
 
@@ -119,11 +119,9 @@ impl ProbeThreshold {
         self.threshold
     }
 
-    /// Steals cleared buffer capacity from a retired instance.
+    /// Steals buffer capacity from a retired instance.
     pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let mut scratch = prev.scratch;
-        scratch.clear();
-        self.scratch = scratch;
+        self.scratch = prev.scratch;
     }
 }
 

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use staleload_policies::{
-    aggressive_schedule, basic_li_probabilities, rank_distribution, InfoAge, LoadView, Policy,
-    PolicySpec,
+    aggressive_schedule, basic_li_probabilities, rank_distribution, EntryAges, InfoAge, LoadView,
+    Policy, PolicySpec,
 };
 use staleload_sim::SimRng;
 
@@ -212,12 +212,14 @@ proptest! {
         stale_bits in prop::collection::vec(any::<bool>(), 64..65),
     ) {
         let n = loads.len();
-        // Strictly fresh (cutoff/2) or strictly expired (2*cutoff) ages.
-        let ages: Vec<f64> = (0..n)
-            .map(|i| if stale_bits[i] { cutoff * 2.0 } else { cutoff * 0.5 })
+        // Strictly fresh (cutoff/2) or strictly expired (2*cutoff) ages:
+        // entries sampled that long before a decision at t = 0.
+        let sampled: Vec<f64> = (0..n)
+            .map(|i| if stale_bits[i] { -cutoff * 2.0 } else { -cutoff * 0.5 })
             .collect();
-        let any_valid = ages.iter().any(|&a| a <= cutoff);
-        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 0.0 }, ages: Some(&ages) };
+        let ages = EntryAges { sampled: &sampled, now: 0.0 };
+        let any_valid = (0..n).any(|i| ages.get(i) <= cutoff);
+        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 0.0 }, ages: Some(ages) };
         let mut rng = SimRng::from_seed(seed);
         // Inner policies that provably put zero mass on a Load::MAX entry
         // whenever a cheaper server exists (greedy, and LI at age 0).
@@ -229,9 +231,9 @@ proptest! {
                 prop_assert!(s < n);
                 if any_valid {
                     prop_assert!(
-                        ages[s] <= cutoff,
+                        view.entry_age(s) <= cutoff,
                         "{} picked stale server {} (age {}, cutoff {})",
-                        inner.label(), s, ages[s], cutoff
+                        inner.label(), s, view.entry_age(s), cutoff
                     );
                 }
             }
@@ -247,8 +249,9 @@ proptest! {
         cutoff in 1.0f64..100.0,
         age_frac in 0.0f64..1.0,
     ) {
-        let ages = vec![cutoff * age_frac; loads.len()];
-        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: Some(&ages) };
+        let sampled = vec![-cutoff * age_frac; loads.len()];
+        let ages = EntryAges { sampled: &sampled, now: 0.0 };
+        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: Some(ages) };
         let inner = PolicySpec::BasicLi { lambda: 0.9 };
         let mut bare = inner.build();
         let mut gated = PolicySpec::Gated { cutoff, inner: Box::new(inner) }.build();

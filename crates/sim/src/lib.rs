@@ -58,6 +58,6 @@ pub use events::{
     SchedulerKind,
 };
 pub use histogram::Histogram;
-pub use rng::SimRng;
+pub use rng::{SimRng, SubsetScratch};
 pub use stats::OnlineStats;
 pub use timeavg::TimeWeighted;

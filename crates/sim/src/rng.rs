@@ -30,6 +30,21 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+/// Reusable buffers for [`SimRng::distinct_indices`]: the resident
+/// identity permutation of `0..n` and the last call's picks.
+#[derive(Debug, Clone, Default)]
+pub struct SubsetScratch {
+    perm: Vec<usize>,
+    picks: Vec<usize>,
+}
+
+impl SubsetScratch {
+    /// Empty buffers; the first draw sizes them.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Expand a 64-bit seed into xoshiro256++ state with SplitMix64.
 ///
 /// SplitMix64 is the conventional seed expander for the xoshiro family; it
@@ -147,8 +162,13 @@ impl SimRng {
 
     /// Samples `k` distinct indices from `[0, n)`, in no particular order.
     ///
-    /// Uses a partial Fisher–Yates shuffle over a scratch buffer, which is
-    /// O(n) in allocation-free steady state when the caller reuses `scratch`.
+    /// The draw is a partial Fisher–Yates shuffle of `0..n`: step `i`
+    /// swaps slot `i` with slot `i + index(n − i)`, and the picks are the
+    /// first `k` slots. `scratch` keeps the identity permutation of `0..n`
+    /// resident between calls; each call performs its `k` swaps, copies
+    /// the picks out and puts the touched slots back, so a call costs
+    /// O(k) in steady state. Only a change of `n` rebuilds the
+    /// permutation (O(n)).
     ///
     /// # Panics
     ///
@@ -157,16 +177,30 @@ impl SimRng {
         &mut self,
         k: usize,
         n: usize,
-        scratch: &'a mut Vec<usize>,
+        scratch: &'a mut SubsetScratch,
     ) -> &'a [usize] {
         assert!(k <= n, "cannot choose {k} distinct values from {n}");
-        scratch.clear();
-        scratch.extend(0..n);
+        let SubsetScratch { perm, picks } = scratch;
+        if perm.len() != n {
+            perm.clear();
+            perm.extend(0..n);
+        }
         for i in 0..k {
             let j = i + self.index(n - i);
-            scratch.swap(i, j);
+            perm.swap(i, j);
         }
-        &scratch[..k]
+        picks.clear();
+        picks.extend_from_slice(&perm[..k]);
+        // Only slots below `k` and the home slots of the picks moved: a
+        // value `v >= k` leaves slot `v` only by being swapped into the
+        // prefix, where it stays and becomes a pick.
+        for &v in picks.iter() {
+            perm[v] = v;
+        }
+        for (i, slot) in perm[..k].iter_mut().enumerate() {
+            *slot = i;
+        }
+        picks
     }
 
     /// Samples an index from a discrete distribution given by `probs`.
@@ -304,7 +338,7 @@ mod tests {
     #[test]
     fn distinct_indices_are_distinct_and_in_range() {
         let mut rng = SimRng::from_seed(5);
-        let mut scratch = Vec::new();
+        let mut scratch = SubsetScratch::new();
         for _ in 0..200 {
             let picked: Vec<usize> = rng.distinct_indices(5, 20, &mut scratch).to_vec();
             let mut sorted = picked.clone();
@@ -318,7 +352,7 @@ mod tests {
     #[test]
     fn distinct_indices_full_draw_is_permutation() {
         let mut rng = SimRng::from_seed(5);
-        let mut scratch = Vec::new();
+        let mut scratch = SubsetScratch::new();
         let mut picked: Vec<usize> = rng.distinct_indices(8, 8, &mut scratch).to_vec();
         picked.sort_unstable();
         assert_eq!(picked, (0..8).collect::<Vec<_>>());

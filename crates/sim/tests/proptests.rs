@@ -1,7 +1,20 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use staleload_sim::{Dist, EventQueue, OnlineStats, SimRng};
+use staleload_sim::{Dist, EventQueue, OnlineStats, SimRng, SubsetScratch};
+
+/// The dense partial Fisher–Yates `distinct_indices` replaced: fill
+/// `0..n`, swap slot `i` with `i + index(n − i)` for `i < k`, and take the
+/// first `k` slots. The reference the O(k) draw must match.
+fn dense_fisher_yates(rng: &mut SimRng, k: usize, n: usize) -> Vec<usize> {
+    let mut slots: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = i + rng.index(n - i);
+        slots.swap(i, j);
+    }
+    slots.truncate(k);
+    slots
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, regardless of push order.
@@ -105,7 +118,7 @@ proptest! {
     fn distinct_indices_contract(seed in any::<u64>(), n in 1usize..64, k_frac in 0.0f64..1.0) {
         let k = ((n as f64 * k_frac) as usize).clamp(1, n);
         let mut rng = SimRng::from_seed(seed);
-        let mut scratch = Vec::new();
+        let mut scratch = SubsetScratch::new();
         let picked: Vec<usize> = rng.distinct_indices(k, n, &mut scratch).to_vec();
         prop_assert_eq!(picked.len(), k);
         let mut sorted = picked.clone();
@@ -113,6 +126,40 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), k);
         prop_assert!(picked.iter().all(|&i| i < n));
+    }
+
+    /// The O(k) draw returns exactly the picks of a dense partial
+    /// Fisher–Yates over a fresh `0..n`, and leaves the stream at the
+    /// same point, across a sequence of calls that reuses one scratch
+    /// while `n` and `k` change.
+    #[test]
+    fn distinct_indices_matches_dense_fisher_yates(
+        seed in any::<u64>(),
+        calls in prop::collection::vec((any::<u64>(), 0.0f64..1.0), 1..12),
+    ) {
+        let mut fast = SimRng::from_seed(seed);
+        let mut dense = SimRng::from_seed(seed);
+        let mut scratch = SubsetScratch::new();
+        let mut last_n = 1;
+        for (shape, k_frac) in calls {
+            // Mostly repeat the last n (the resident permutation is
+            // reused); otherwise a small, a mid-size or a large n.
+            let n = match shape % 5 {
+                0 | 1 => last_n,
+                2 => 1 + (shape >> 8) as usize % 16,
+                3 => 1 + (shape >> 8) as usize % 4096,
+                _ => 1 + (shape >> 8) as usize % 100_000,
+            };
+            last_n = n;
+            let k = match (shape >> 4) % 4 {
+                0 => 1,
+                1 => n,
+                _ => ((n as f64 * k_frac) as usize).min(n),
+            };
+            let picked = fast.distinct_indices(k, n, &mut scratch).to_vec();
+            prop_assert_eq!(picked, dense_fisher_yates(&mut dense, k, n), "k = {}, n = {}", k, n);
+            prop_assert_eq!(fast.next_u64(), dense.next_u64());
+        }
     }
 
     /// `discrete` only returns indices with positive mass.
