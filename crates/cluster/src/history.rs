@@ -102,24 +102,6 @@ impl LoadHistory {
         }
     }
 
-    /// The load of `server` as of time `at` (0 before the first change).
-    pub fn load_at(&self, server: usize, at: f64) -> u32 {
-        let h = &self.per_server[server];
-        // Find the last change point with time <= at.
-        let idx = h.partition_point(|&(t, _)| t <= at);
-        if idx == 0 {
-            // Either genuinely before the first event (load 0 at start of
-            // simulation) or pruned; `fill_loads_at` tracks misses.
-            if h.front().is_some_and(|&(t, _)| t <= at) {
-                h.front().map_or(0, |&(_, l)| l)
-            } else {
-                0
-            }
-        } else {
-            h[idx - 1].1
-        }
-    }
-
     /// Fills `out` with every server's load as of time `at`.
     pub fn fill_loads_at(&mut self, at: f64, out: &mut Vec<u32>) {
         out.clear();
@@ -152,18 +134,26 @@ impl LoadHistory {
 mod tests {
     use super::*;
 
+    /// Server 0's load as of `at`, through the one query path.
+    fn load_of_first(h: &mut LoadHistory, at: f64) -> u32 {
+        let mut out = Vec::new();
+        h.fill_loads_at(at, &mut out);
+        out[0]
+    }
+
     #[test]
-    fn load_at_steps_through_changes() {
+    fn fill_loads_at_steps_through_changes() {
         let mut h = LoadHistory::new(1, 1e9);
         h.record(0, 1.0, 1);
         h.record(0, 2.0, 2);
         h.record(0, 3.0, 1);
-        assert_eq!(h.load_at(0, 0.5), 0);
-        assert_eq!(h.load_at(0, 1.0), 1);
-        assert_eq!(h.load_at(0, 1.9), 1);
-        assert_eq!(h.load_at(0, 2.0), 2);
-        assert_eq!(h.load_at(0, 2.5), 2);
-        assert_eq!(h.load_at(0, 10.0), 1);
+        assert_eq!(load_of_first(&mut h, 0.5), 0);
+        assert_eq!(load_of_first(&mut h, 1.0), 1);
+        assert_eq!(load_of_first(&mut h, 1.9), 1);
+        assert_eq!(load_of_first(&mut h, 2.0), 2);
+        assert_eq!(load_of_first(&mut h, 2.5), 2);
+        assert_eq!(load_of_first(&mut h, 10.0), 1);
+        assert_eq!(h.misses(), 0);
     }
 
     #[test]
@@ -173,12 +163,15 @@ mod tests {
             let t = i as f64;
             h.record(0, t, (i % 5 + 1) as u32);
         }
-        // Query inside the window: exact.
-        assert_eq!(h.load_at(0, 995.5), 1); // 995 % 5 + 1
-        let mut out = Vec::new();
-        h.fill_loads_at(992.3, &mut out);
-        assert_eq!(out[0], (992 % 5 + 1) as u32);
+        // Queries inside the window: exact.
+        assert_eq!(load_of_first(&mut h, 995.5), 1); // 995 % 5 + 1
+        assert_eq!(load_of_first(&mut h, 992.3), (992 % 5 + 1) as u32);
         assert_eq!(h.misses(), 0);
+        // A query older than the window answers with the oldest retained
+        // entry and counts a miss.
+        let oldest = h.per_server[0][0].1;
+        assert_eq!(load_of_first(&mut h, 10.0), oldest);
+        assert_eq!(h.misses(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 /// request should go to server `i` so that, in expectation, the `R` arrivals
 /// level the queues as far as possible by the end of the epoch:
 ///
-/// 1. sort servers by reported load: `q_1 ≤ q_2 ≤ … ≤ q_n` (paper indexing);
+/// 1. order servers by reported load: `q_1 ≤ q_2 ≤ … ≤ q_n` (paper indexing);
 /// 2. find `c`, the number of least-loaded servers that should receive jobs:
 ///    the largest `c ∈ [1, n]` such that `R` suffices to bring servers
 ///    `1..c` up to the load of server `c`, i.e.
@@ -29,12 +29,22 @@ pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 /// This is water-filling: the bracketed term is the common *level* the `c`
 /// receiving queues reach when the expected arrivals are poured in.
 ///
+/// The order of step 1 is only materialised for wide load ranges. The
+/// Eq. 3 cost is constant across servers of equal load, so `c` always ends
+/// a group of tied loads, and step 2 can walk the distinct loads with their
+/// multiplicities instead. When `max − min < n` the loads are binned by
+/// `q − min` in one pass, so the whole call is O(n + range); wider ranges
+/// are sorted in O(n log n). Both paths sum integer loads exactly in `f64`
+/// and evaluate step 3 with one expression, so their probabilities are
+/// bit-identical.
+///
 /// When `R` is (numerically) zero the epoch is too short for probabilistic
 /// leveling; the function returns the least-loaded indicator distribution
 /// (uniform over the minimum-load servers), the natural fresh-information
 /// limit.
 ///
-/// `scratch` is a reusable sort buffer; contents are overwritten.
+/// `scratch` is a reusable buffer (load bins or sort keys); contents are
+/// overwritten.
 ///
 /// # Panics
 ///
@@ -57,7 +67,7 @@ pub fn basic_li_probabilities(
     loads: &[Load],
     expected_arrivals: f64,
     probs: &mut Vec<f64>,
-    scratch: &mut Vec<(Load, usize)>,
+    scratch: &mut Vec<u64>,
 ) {
     assert!(!loads.is_empty(), "loads must be non-empty");
     assert!(
@@ -74,29 +84,61 @@ pub fn basic_li_probabilities(
     }
     let r = expected_arrivals;
 
-    sort_by_load(loads, scratch);
-
     // cost(c) = c·q_c − Σ_{i≤c} q_i is non-decreasing in c
     // (cost(c+1) − cost(c) = c·(q_(c+1) − q_c) ≥ 0) and cost(1) = 0, so one
-    // linear scan keeping the last satisfying c finds the paper's maximum.
-    let mut c = 1usize;
-    let mut prefix = f64::from(scratch[0].0); // Σ of the c smallest loads
-    let mut run = prefix;
-    for (idx, &(q, _)) in scratch.iter().enumerate().skip(1) {
-        run += f64::from(q);
-        let count = idx + 1;
-        let cost = count as f64 * f64::from(q) - run;
-        if cost <= r {
-            c = count;
-            prefix = run;
+    // ascending scan finds the paper's maximum: the sorted path keeps the
+    // last satisfying c, the binned path stops at the first failing load.
+    let Some(min) = bin_by_load(loads, scratch) else {
+        sort_keys(loads, scratch);
+        let mut c = 1usize;
+        let mut prefix = f64::from(unpack(scratch[0]).0); // Σ of the c smallest loads
+        let mut run = prefix;
+        for (idx, &key) in scratch.iter().enumerate().skip(1) {
+            let q = f64::from(unpack(key).0);
+            run += q;
+            let count = idx + 1;
+            if count as f64 * q - run <= r {
+                c = count;
+                prefix = run;
+            }
+        }
+        let level = (prefix + r) / c as f64;
+        for &key in &scratch[..c] {
+            let (q, server) = unpack(key);
+            probs[server] = water_share(level, q, r);
+        }
+        return;
+    };
+
+    // Each bin is one tie group: adding it moves the count and the sum by
+    // exact integers, and cost(c) at its last member is its cost throughout.
+    let (mut c, mut prefix, mut cut) = (0usize, 0.0, min);
+    let (mut count, mut run) = (0usize, 0.0);
+    for (offset, &k) in scratch.iter().enumerate() {
+        if k == 0 {
+            continue;
+        }
+        let q = min + offset as Load;
+        count += k as usize;
+        run += k as f64 * f64::from(q);
+        if count as f64 * f64::from(q) - run > r {
+            break;
+        }
+        (c, prefix, cut) = (count, run, q);
+    }
+    let level = (prefix + r) / c as f64;
+    for (p, &q) in probs.iter_mut().zip(loads) {
+        if q <= cut {
+            *p = water_share(level, q, r);
         }
     }
+}
 
-    let level = (prefix + r) / c as f64;
-    for &(q, server) in scratch.iter().take(c) {
-        // level ≥ q_c ≥ q by the choice of c; clamp rounding residue.
-        probs[server] = ((level - f64::from(q)) / r).max(0.0);
-    }
+/// The Eq. 4 share of a receiving server with load `q`: the fraction of `r`
+/// that lifts it to `level`. `level ≥ q_c ≥ q` by the choice of `c`; the
+/// clamp absorbs rounding residue.
+fn water_share(level: f64, q: Load, r: f64) -> f64 {
+    ((level - f64::from(q)) / r).max(0.0)
 }
 
 /// The Aggressive LI subinterval schedule for one phase (paper Eq. 5).
@@ -108,7 +150,10 @@ pub fn basic_li_probabilities(
 /// `τ_i = (i+1)·(q_(i+1) − q_i) / (λ·n)`. After the last breakpoint all
 /// servers are (believed) level and arrivals are uniform for the rest of
 /// the phase.
-#[derive(Debug, Clone)]
+///
+/// The default value is an empty schedule with no active servers; fill it
+/// with [`AggressiveSchedule::rebuild`].
+#[derive(Debug, Clone, Default)]
 pub struct AggressiveSchedule {
     /// `ends[i]` = elapsed time at which subinterval `i` finishes
     /// (cumulative `τ`), for `i = 0..n-1`; the final "uniform" regime has no
@@ -117,6 +162,8 @@ pub struct AggressiveSchedule {
     /// Sorted server order: `order[j]` is the id of the `j`-th least-loaded
     /// server.
     order: Vec<usize>,
+    /// Load bins or sort keys for the next rebuild.
+    scratch: Vec<u64>,
 }
 
 /// Builds the Aggressive LI schedule for the given reported loads and total
@@ -143,31 +190,40 @@ pub struct AggressiveSchedule {
 /// assert_eq!(schedule.active_count(1e6), 3);
 /// ```
 pub fn aggressive_schedule(loads: &[Load], total_rate: f64) -> AggressiveSchedule {
-    assert!(!loads.is_empty(), "loads must be non-empty");
-    assert!(!total_rate.is_nan(), "total rate must not be NaN");
-    let n = loads.len();
-    let mut scratch: Vec<(Load, usize)> = Vec::with_capacity(n);
-    sort_by_load(loads, &mut scratch);
-    let order: Vec<usize> = scratch.iter().map(|&(_, s)| s).collect();
-
-    let mut ends = Vec::with_capacity(n.saturating_sub(1));
-    let mut cum = 0.0;
-    for i in 0..n - 1 {
-        let step = f64::from(scratch[i + 1].0) - f64::from(scratch[i].0);
-        let tau = if total_rate > 0.0 {
-            (i + 1) as f64 * step / total_rate
-        } else if step > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        };
-        cum += tau;
-        ends.push(cum);
-    }
-    AggressiveSchedule { ends, order }
+    let mut schedule = AggressiveSchedule::default();
+    schedule.rebuild(loads, total_rate);
+    schedule
 }
 
 impl AggressiveSchedule {
+    /// Recomputes the schedule in place for new loads and total arrival
+    /// rate, reusing its buffers; the result equals
+    /// [`aggressive_schedule`]`(loads, total_rate)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads` is empty or `total_rate` is NaN.
+    pub fn rebuild(&mut self, loads: &[Load], total_rate: f64) {
+        assert!(!loads.is_empty(), "loads must be non-empty");
+        assert!(!total_rate.is_nan(), "total rate must not be NaN");
+        sort_by_load(loads, &mut self.scratch, &mut self.order);
+
+        self.ends.clear();
+        let mut cum = 0.0;
+        for (i, pair) in self.order.windows(2).enumerate() {
+            let step = f64::from(loads[pair[1]]) - f64::from(loads[pair[0]]);
+            let tau = if total_rate > 0.0 {
+                (i + 1) as f64 * step / total_rate
+            } else if step > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            };
+            cum += tau;
+            self.ends.push(cum);
+        }
+    }
+
     /// Number of least-loaded servers receiving traffic at `elapsed` time
     /// since the information was sampled.
     pub fn active_count(&self, elapsed: f64) -> usize {
@@ -200,12 +256,71 @@ fn fill_least_loaded_indicator(loads: &[Load], probs: &mut [f64]) {
     }
 }
 
-/// Sorts `(load, server)` pairs ascending by load, ties by server id
-/// (deterministic; the paper breaks ties arbitrarily).
-fn sort_by_load(loads: &[Load], scratch: &mut Vec<(Load, usize)>) {
-    scratch.clear();
-    scratch.extend(loads.iter().copied().zip(0..));
-    scratch.sort_unstable();
+/// Counts `loads` into `bins` (`bins[b]` = servers reporting `min + b`) and
+/// returns `min`, when counting is the cheaper way to order them: the range
+/// `max − min` is below the server count `n`. It also requires
+/// `n·max ≤ 2^53`, so every partial sum of loads is an exact `f64` integer
+/// in any order. Otherwise returns `None` and leaves `bins` untouched.
+fn bin_by_load(loads: &[Load], bins: &mut Vec<u64>) -> Option<Load> {
+    let (mut min, mut max) = (Load::MAX, Load::MIN);
+    for &q in loads {
+        min = min.min(q);
+        max = max.max(q);
+    }
+    let n = loads.len();
+    let range = (max - min) as usize;
+    if range >= n || (n as u64).saturating_mul(u64::from(max)) > 1 << 53 {
+        return None;
+    }
+    bins.clear();
+    bins.resize(range + 1, 0);
+    for &q in loads {
+        bins[(q - min) as usize] += 1;
+    }
+    Some(min)
+}
+
+/// Fills `keys` with `(load, server)` packed as `load << 32 | server` and
+/// sorts them: ascending by load, ties by server id (deterministic; the
+/// paper breaks ties arbitrarily). Server ids must fit in 32 bits.
+fn sort_keys(loads: &[Load], keys: &mut Vec<u64>) {
+    assert!(loads.len() as u64 <= 1 << 32, "at most 2^32 servers");
+    keys.clear();
+    keys.extend(
+        loads
+            .iter()
+            .zip(0u64..)
+            .map(|(&q, id)| u64::from(q) << 32 | id),
+    );
+    keys.sort_unstable();
+}
+
+/// Splits a [`sort_keys`] key back into `(load, server)`.
+fn unpack(key: u64) -> (Load, usize) {
+    ((key >> 32) as Load, (key & u64::from(u32::MAX)) as usize)
+}
+
+/// Writes the server ids into `order` ascending by load, ties by server id:
+/// the order of [`sort_keys`]. Narrow loads go through a stable counting
+/// sort over their bins, wide ones through the key sort.
+fn sort_by_load(loads: &[Load], scratch: &mut Vec<u64>, order: &mut Vec<usize>) {
+    order.clear();
+    let Some(min) = bin_by_load(loads, scratch) else {
+        sort_keys(loads, scratch);
+        order.extend(scratch.iter().map(|&key| unpack(key).1));
+        return;
+    };
+    // Exclusive prefix sums turn each bin's count into its first slot.
+    let mut next = 0;
+    for slot in scratch.iter_mut() {
+        next += std::mem::replace(slot, next);
+    }
+    order.resize(loads.len(), 0);
+    for (server, &q) in loads.iter().enumerate() {
+        let slot = &mut scratch[(q - min) as usize];
+        order[*slot as usize] = server;
+        *slot += 1;
+    }
 }
 
 #[cfg(test)]

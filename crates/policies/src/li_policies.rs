@@ -4,9 +4,7 @@
 
 use staleload_sim::SimRng;
 
-use crate::li::{
-    aggressive_schedule, basic_li_probabilities, AggressiveSchedule, MIN_EXPECTED_ARRIVALS,
-};
+use crate::li::{basic_li_probabilities, AggressiveSchedule, MIN_EXPECTED_ARRIVALS};
 use crate::{least_loaded, InfoAge, LoadView, Policy};
 
 /// Validates an LI arrival-rate estimate at construction time.
@@ -25,7 +23,7 @@ struct ProbCache {
     epoch: Option<u64>,
     probs: Vec<f64>,
     cdf: Vec<f64>,
-    scratch: Vec<(u32, usize)>,
+    scratch: Vec<u64>,
 }
 
 impl ProbCache {
@@ -42,17 +40,20 @@ impl ProbCache {
     /// Recomputes `probs`/`cdf` via `fill` unless `epoch` matches the cache.
     fn ensure<F>(&mut self, epoch: Option<u64>, mut fill: F)
     where
-        F: FnMut(&mut Vec<f64>, &mut Vec<(u32, usize)>),
+        F: FnMut(&mut Vec<f64>, &mut Vec<u64>),
     {
         if epoch.is_some() && epoch == self.epoch {
             return;
         }
         fill(&mut self.probs, &mut self.scratch);
+        // Sized once and written in place: a push per entry costs about
+        // three times as much as the running sum itself.
         self.cdf.clear();
+        self.cdf.resize(self.probs.len(), 0.0);
         let mut acc = 0.0;
-        for &p in &self.probs {
+        for (c, &p) in self.cdf.iter_mut().zip(&self.probs) {
             acc += p;
-            self.cdf.push(acc);
+            *c = acc;
         }
         self.epoch = epoch;
     }
@@ -133,7 +134,7 @@ impl Policy for BasicLi {
 pub struct AggressiveLi {
     lambda: f64,
     epoch: Option<u64>,
-    schedule: Option<AggressiveSchedule>,
+    schedule: AggressiveSchedule,
 }
 
 impl AggressiveLi {
@@ -146,7 +147,7 @@ impl AggressiveLi {
         Self {
             lambda: check_lambda(lambda),
             epoch: None,
-            schedule: None,
+            schedule: AggressiveSchedule::default(),
         }
     }
 }
@@ -160,13 +161,13 @@ impl Policy for AggressiveLi {
             // "effectively always at the end of a phase" of length `age`.
             InfoAge::Aged { age } => (age, None),
         };
-        let rebuild = epoch.is_none() || epoch != self.epoch || self.schedule.is_none();
-        if rebuild {
-            self.schedule = Some(aggressive_schedule(view.loads, total_rate));
+        // A cached epoch is always `Some`, so the empty initial schedule is
+        // rebuilt before its first use.
+        if epoch.is_none() || epoch != self.epoch {
+            self.schedule.rebuild(view.loads, total_rate);
             self.epoch = epoch;
         }
-        let schedule = self.schedule.as_ref().expect("schedule was just built");
-        let active = schedule.active_servers(elapsed);
+        let active = self.schedule.active_servers(elapsed);
         active[rng.index(active.len())]
     }
 }

@@ -34,7 +34,7 @@ pub struct LiSubset {
     subset_scratch: SubsetScratch,
     loads_scratch: Vec<u32>,
     probs: Vec<f64>,
-    sort_scratch: Vec<(u32, usize)>,
+    sort_scratch: Vec<u64>,
 }
 
 impl LiSubset {

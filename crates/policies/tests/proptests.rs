@@ -18,6 +18,90 @@ fn compute_basic(loads: &[u32], r: f64) -> Vec<f64> {
     probs
 }
 
+/// Load vectors of 1..300 servers whose range `max − min` is pinned on
+/// either side of the server count `n`, where the water-fill switches
+/// between counting and sorting: 0 (all tied), a few values (heavy ties),
+/// `n − 1`, `n`, `n + 1`, far wider, and idle servers next to masked
+/// `u32::MAX` entries (the staleness gate's encoding).
+fn arb_li_loads() -> impl Strategy<Value = Vec<u32>> {
+    (1usize..300, 0u32..1_000_000, 0usize..7, any::<u64>()).prop_map(|(n, base, kind, seed)| {
+        let mut rng = SimRng::from_seed(seed);
+        if kind == 6 {
+            return (0..n)
+                .map(|_| {
+                    if rng.index(3) == 0 {
+                        u32::MAX
+                    } else {
+                        rng.index(4) as u32
+                    }
+                })
+                .collect();
+        }
+        let range = match kind {
+            0 => 0,
+            1 => 1 + rng.index(4),
+            2 => n.saturating_sub(1),
+            3 => n,
+            4 => n + 1,
+            _ => 50 * n + rng.index(1 << 20),
+        } as u32;
+        let mut loads: Vec<u32> = (0..n)
+            .map(|_| base + rng.index(range as usize + 1) as u32)
+            .collect();
+        // Pin both ends of the range at random positions.
+        loads[rng.index(n)] = base;
+        loads[rng.index(n)] = base + range;
+        loads
+    })
+}
+
+/// The expected-arrival counts the water-fill must reproduce bit for bit:
+/// zero (least-loaded indicator), just above the degenerate threshold, a
+/// paper-style `λ·n·T`, effectively infinite, and a small integer (which
+/// can equal an Eq. 3 cost exactly).
+fn pick_r(choice: usize, n: usize, t: f64) -> f64 {
+    [0.0, 1e-12, 0.9 * n as f64 * t, 1e12, t.floor()][choice]
+}
+
+/// The sorted-scan water-fill (paper Eqs. 2–4 read literally): sort
+/// `(load, id)` pairs, scan for the last `c` satisfying Eq. 3, fill the `c`
+/// smallest. `r` must exceed the degenerate threshold.
+fn reference_basic(loads: &[u32], r: f64) -> Vec<f64> {
+    let mut sorted: Vec<(u32, usize)> = loads.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    let mut c = 1usize;
+    let mut prefix = f64::from(sorted[0].0);
+    let mut run = prefix;
+    for (idx, &(q, _)) in sorted.iter().enumerate().skip(1) {
+        run += f64::from(q);
+        let count = idx + 1;
+        if count as f64 * f64::from(q) - run <= r {
+            c = count;
+            prefix = run;
+        }
+    }
+    let level = (prefix + r) / c as f64;
+    let mut probs = vec![0.0; loads.len()];
+    for &(q, server) in &sorted[..c] {
+        probs[server] = ((level - f64::from(q)) / r).max(0.0);
+    }
+    probs
+}
+
+/// The least-loaded indicator Basic LI degenerates to as `R → 0`.
+fn reference_indicator(loads: &[u32]) -> Vec<f64> {
+    let min = *loads.iter().min().expect("non-empty loads");
+    let ties = loads.iter().filter(|&&l| l == min).count();
+    loads
+        .iter()
+        .map(|&l| if l == min { 1.0 / ties as f64 } else { 0.0 })
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     /// Basic LI always yields a genuine probability distribution.
     #[test]
@@ -194,7 +278,7 @@ proptest! {
         let mut rng = SimRng::from_seed(seed);
         let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: None };
         let mut g = PolicySpec::Greedy.build();
-        let min = *loads.iter().min().unwrap();
+        let min = *loads.iter().min().expect("non-empty loads");
         for _ in 0..16 {
             prop_assert_eq!(loads[g.select(&view, &mut rng)], min);
         }
@@ -275,5 +359,72 @@ proptest! {
                 prop_assert!(loads[s] <= t);
             }
         }
+    }
+}
+
+proptest! {
+    // Many cases: the switch between counting and sorting is the one
+    // path choice in the water-fill, and each case lands on one side.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The binned water-fill reproduces the sorted scan bit for bit, on
+    /// both sides of the `max − min < n` switch, with one scratch reused
+    /// across calls.
+    #[test]
+    fn basic_li_matches_sorted_reference_bitwise(
+        loads in arb_li_loads(),
+        r_choice in 0usize..5,
+        t in 0.001f64..100.0,
+        warm in arb_li_loads(),
+    ) {
+        let r = pick_r(r_choice, loads.len(), t);
+        let mut probs = Vec::new();
+        let mut scratch = Vec::new();
+        // Leave the buffers dirty from an unrelated call first.
+        basic_li_probabilities(&warm, 1.0, &mut probs, &mut scratch);
+        basic_li_probabilities(&loads, r, &mut probs, &mut scratch);
+        let expected = if r <= 1e-9 { reference_indicator(&loads) } else { reference_basic(&loads, r) };
+        prop_assert_eq!(bits(&probs), bits(&expected), "loads {:?} r {}", loads, r);
+    }
+
+    /// The aggressive schedule orders servers exactly as `sort_unstable`
+    /// orders `(load, id)` pairs, and an in-place rebuild over dirty
+    /// buffers equals a fresh build.
+    #[test]
+    fn aggressive_order_matches_sort_unstable(
+        loads in arb_li_loads(),
+        rate in 0.0f64..100.0,
+        warm in arb_li_loads(),
+    ) {
+        let mut pairs: Vec<(u32, usize)> = loads.iter().copied().zip(0..).collect();
+        pairs.sort_unstable();
+        let expected: Vec<usize> = pairs.iter().map(|&(_, id)| id).collect();
+        let fresh = aggressive_schedule(&loads, rate);
+        prop_assert_eq!(fresh.active_servers(f64::INFINITY), &expected[..]);
+        let mut reused = aggressive_schedule(&warm, 1.0);
+        reused.rebuild(&loads, rate);
+        prop_assert_eq!(reused.active_servers(f64::INFINITY), &expected[..]);
+        prop_assert_eq!(
+            reused.leveling_time().map(f64::to_bits),
+            fresh.leveling_time().map(f64::to_bits)
+        );
+    }
+}
+
+/// Past `n·max = 2^53` the load sums round, and the sorted scan's rounding
+/// depends on its summation order; the water-fill must then take the
+/// sorted path even though the range is narrow.
+#[test]
+fn basic_li_matches_reference_when_sums_round() {
+    let n = (1 << 21) + 3;
+    let mut loads = vec![u32::MAX; n];
+    for i in (0..n).step_by(7) {
+        loads[i] = u32::MAX - 2;
+    }
+    for r in [1.0, 1e6] {
+        let probs = compute_basic(&loads, r);
+        let reference = reference_basic(&loads, r);
+        let first_mismatch = (0..n).find(|&i| probs[i].to_bits() != reference[i].to_bits());
+        assert_eq!(first_mismatch, None, "r {r}");
     }
 }

@@ -236,7 +236,9 @@ impl SimRng {
     /// Samples an index from a *cumulative* distribution by binary search.
     ///
     /// `cdf` must be non-decreasing with `cdf.last()` ≈ 1. This is the fast
-    /// path for per-phase cached probability vectors.
+    /// path for per-phase cached probability vectors. Indices whose
+    /// probability is zero (plateaus of the CDF) are never returned unless
+    /// the total is zero.
     ///
     /// # Panics
     ///
@@ -244,10 +246,22 @@ impl SimRng {
     pub fn discrete_cdf(&mut self, cdf: &[f64]) -> usize {
         assert!(!cdf.is_empty(), "cdf must be non-empty");
         let u = self.f64() * cdf.last().copied().unwrap_or(1.0);
-        match cdf.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(i) | Err(i) => i.min(cdf.len() - 1),
-        }
+        cdf_index(cdf, u)
     }
+}
+
+/// The index [`SimRng::discrete_cdf`] draws for the point `u` in
+/// `[0, cdf.last()]`: the first index whose CDF value exceeds `u`, so a `u`
+/// landing exactly on a plateau skips the zero-probability entries that
+/// share its value. A `u` at or above the total (rounding can carry
+/// `u·total` up to it) takes the first index that reaches the total.
+fn cdf_index(cdf: &[f64], u: f64) -> usize {
+    let i = cdf.partition_point(|&c| c <= u);
+    if i < cdf.len() {
+        return i;
+    }
+    let total = cdf[cdf.len() - 1];
+    cdf.partition_point(|&c| c < total)
 }
 
 #[cfg(test)]
@@ -380,6 +394,22 @@ mod tests {
             let freq = c as f64 / n as f64;
             assert!((freq - probs[i]).abs() < 0.01, "index {i}: {freq}");
         }
+    }
+
+    #[test]
+    fn cdf_index_skips_zero_probability_entries() {
+        // u = 0 on a leading zero-mass entry.
+        assert_eq!(cdf_index(&[0.0, 1.0], 0.0), 1);
+        // u exactly on an interior plateau: the next index with mass.
+        assert_eq!(cdf_index(&[0.25, 0.25, 0.25, 1.0], 0.25), 3);
+        // u rounded up to the total: the first index reaching it, never a
+        // trailing zero-mass entry.
+        assert_eq!(cdf_index(&[0.5, 1.0, 1.0, 1.0], 1.0), 1);
+        // Interior points are unchanged.
+        assert_eq!(cdf_index(&[0.5, 1.0], 0.49), 0);
+        assert_eq!(cdf_index(&[0.5, 1.0], 0.5), 1);
+        assert_eq!(cdf_index(&[0.5, 1.0], 0.99), 1);
+        assert_eq!(cdf_index(&[1.0], 0.0), 0);
     }
 
     #[test]
