@@ -7,7 +7,7 @@ use staleload_core::{
 };
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
-use staleload_sim::{Dist, SchedulerKind};
+use staleload_sim::Dist;
 use staleload_workloads::BurstConfig;
 
 /// A fully parsed `staleload run`/`compare` invocation.
@@ -290,7 +290,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut deadline: Option<f64> = None;
     let mut retry: Option<RetrySpec> = None;
     let mut guard: Option<(f64, f64)> = None;
-    let mut scheduler = SchedulerKind::Heap;
     let mut engine = EngineMode::PerServer;
     let mut population_sampler = PopulationSampler::Alias;
     let mut detail = false;
@@ -455,9 +454,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
                     c.parse().map_err(|_| format!("bad guard cooldown '{c}'"))?,
                 ));
             }
-            "--scheduler" => {
-                scheduler = take("--scheduler")?.parse::<SchedulerKind>()?;
-            }
             "--engine" => {
                 engine = take("--engine")?.parse::<EngineMode>()?;
             }
@@ -594,7 +590,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         .arrivals(arrivals)
         .service(service)
         .seed(seed)
-        .scheduler(scheduler)
         .engine(engine)
         .population_sampler(population_sampler)
         .faults(faults);
@@ -886,23 +881,18 @@ mod tests {
         assert!(err.contains("exponential"), "{err}");
         let err = parse_run(&strings(&["--engine", "population", "--queue-cap", "8"])).unwrap_err();
         assert!(err.contains("overload"), "{err}");
-    }
-
-    #[test]
-    fn scheduler_flag_selects_backend() {
-        let plain = parse_run(&[]).unwrap();
-        assert_eq!(plain.config.scheduler, SchedulerKind::Heap);
-        let cal = parse_run(&strings(&["--scheduler", "calendar"])).unwrap();
-        assert_eq!(cal.config.scheduler, SchedulerKind::Calendar);
-        let heap = parse_run(&strings(&["--scheduler", "heap"])).unwrap();
-        assert_eq!(heap.config.scheduler, SchedulerKind::Heap);
-        assert!(parse_run(&strings(&["--scheduler", "wheel"])).is_err());
+        // The per-server engine has no routing sampler to switch.
+        let err = parse_run(&strings(&["--population-sampler", "scan"])).unwrap_err();
+        assert!(err.contains("population engine"), "{err}");
     }
 
     #[test]
     fn unknown_flag_is_rejected() {
         assert!(parse_run(&strings(&["--frobnicate", "1"])).is_err());
         assert!(parse_run(&strings(&["--servers"])).is_err());
+        // The event-queue backend knob is gone: one queue, no choice.
+        let err = parse_run(&strings(&["--scheduler", "heap"])).unwrap_err();
+        assert_eq!(err, "unknown flag '--scheduler'");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! `--queue-cap <N>`, `--deadline <T>`, `--retry <MAX>:<BASE>:<CAP>`,
 //! `--guard <THR>:<COOLDOWN>`, `--partition <MTBF>:<DUR>:<FRAC>[:correlated]`,
 //! `--churn <MTBF>:<DOWNTIME>`, `--corrupt <FRAC>`, `--hedge <H>`,
-//! `--quarantine <WINDOW>:<BACKOFF>`, `--scheduler <heap|calendar>`,
-//! `--watchdog <SECS>`, `--detail`.
+//! `--quarantine <WINDOW>:<BACKOFF>`, `--watchdog <SECS>`, `--detail`.
 
 #![forbid(unsafe_code)]
 // The CLI is a terminal tool; stdout is its interface.
@@ -103,8 +102,6 @@ fn print_help() {
          losers cancelled (needs a plain FIFO config)\n  \
          --quarantine WINDOW:BACKOFF  eject servers whose reports are older than\n                     \
          WINDOW, probe for readmission after BACKOFF (doubling)\n  \
-         --scheduler KIND   event-queue backend: heap (default) or calendar;\n                     \
-         trajectories are bit-identical, calendar is faster at scale\n  \
          --engine MODE      state representation: per-server (default) or\n                     \
          population (count-based mean-field fast path; exact in\n                     \
          distribution for random/k-subset/greedy/basic-li over\n                     \

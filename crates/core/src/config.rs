@@ -3,7 +3,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use staleload_sim::{Dist, SchedulerKind};
+use staleload_sim::Dist;
 use staleload_workloads::{BurstConfig, RetrySpec};
 
 use crate::FaultSpec;
@@ -193,10 +193,6 @@ pub struct SimConfig {
     /// jobs; see [`RetrySpec`]. `None` makes rejection and reneging
     /// terminal.
     pub retry: Option<RetrySpec>,
-    /// Pending-event-set backend for the engine's queues. Both backends
-    /// produce bit-identical trajectories (same event order, same RNG
-    /// draws); they differ only in speed. Default: [`SchedulerKind::Heap`].
-    pub scheduler: SchedulerKind,
     /// Exact-mode capacity of the per-run response-time quantile sketch
     /// (extension, ISSUE 8): runs measuring at most this many jobs keep
     /// the exact multiset; larger runs compact onto the sketch's fixed
@@ -210,9 +206,10 @@ pub struct SimConfig {
     /// policy/info subset but draws the RNG differently, so trajectories
     /// are not bit-comparable across modes — only statistics are.
     pub engine: EngineMode,
-    /// Routing sampler used by the population engine (ignored by the
-    /// per-server engine): the alias-table fast path or the linear-scan
-    /// reference it is differentially tested against.
+    /// Routing sampler used by the population engine: the alias-table
+    /// fast path or the linear-scan reference it is differentially tested
+    /// against. The per-server engine has no sampler, so selecting `Scan`
+    /// there is a config error.
     pub population_sampler: PopulationSampler,
     /// Master seed; trials derive their own seeds from it.
     pub seed: u64,
@@ -260,7 +257,6 @@ pub struct SimConfigBuilder {
     queue_cap: Option<u32>,
     deadline: Option<f64>,
     retry: Option<RetrySpec>,
-    scheduler: SchedulerKind,
     sketch_cap: usize,
     engine: EngineMode,
     population_sampler: PopulationSampler,
@@ -281,7 +277,6 @@ impl Default for SimConfigBuilder {
             queue_cap: None,
             deadline: None,
             retry: None,
-            scheduler: SchedulerKind::Heap,
             sketch_cap: staleload_stats::TailSketch::DEFAULT_CAP,
             engine: EngineMode::PerServer,
             population_sampler: PopulationSampler::Alias,
@@ -364,12 +359,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the pending-event-set backend (default: the binary heap).
-    pub fn scheduler(&mut self, scheduler: SchedulerKind) -> &mut Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the exact-mode capacity of the response-time quantile
     /// sketch (must be ≥ 1; the default keeps runs of up to
     /// [`staleload_stats::TailSketch::DEFAULT_CAP`] measured jobs exact).
@@ -403,7 +392,8 @@ impl SimConfigBuilder {
     ///
     /// Returns [`ConfigError`] if any parameter is out of range
     /// (`servers == 0`, `λ ∉ (0, 2]`, `arrivals == 0`,
-    /// `warmup_fraction ∉ [0, 1)`).
+    /// `warmup_fraction ∉ [0, 1)`) or a knob does not apply to the
+    /// selected engine.
     pub fn try_build(&self) -> Result<SimConfig, ConfigError> {
         if self.servers == 0 {
             return Err(ConfigError::new("need at least one server"));
@@ -506,6 +496,11 @@ impl SimConfigBuilder {
                     self.service
                 )));
             }
+        } else if self.population_sampler == PopulationSampler::Scan {
+            return Err(ConfigError::new(
+                "the scan sampler applies only to the population engine; the per-server \
+                 engine has no routing sampler to switch",
+            ));
         }
         Ok(SimConfig {
             servers: self.servers,
@@ -519,7 +514,6 @@ impl SimConfigBuilder {
             queue_cap: self.queue_cap,
             deadline: self.deadline,
             retry: self.retry,
-            scheduler: self.scheduler,
             sketch_cap: self.sketch_cap,
             engine: self.engine,
             population_sampler: self.population_sampler,
@@ -590,6 +584,16 @@ mod tests {
             .warmup_fraction(1.0)
             .try_build()
             .is_err());
+        // The per-server engine has no routing sampler to switch.
+        assert!(SimConfig::builder()
+            .population_sampler(PopulationSampler::Scan)
+            .try_build()
+            .is_err());
+        assert!(SimConfig::builder()
+            .engine(EngineMode::Population)
+            .population_sampler(PopulationSampler::Scan)
+            .try_build()
+            .is_ok());
     }
 
     #[test]

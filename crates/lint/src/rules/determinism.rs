@@ -2,8 +2,8 @@
 //!
 //! Every trajectory in this repository must be a pure function of the
 //! experiment spec (including the master seed): the golden-trajectory
-//! and parallel-determinism suites pin results bit-for-bit across
-//! scheduler backends and worker counts. A single wall-clock read or an
+//! and parallel-determinism suites pin results bit-for-bit across runs
+//! and worker counts. A single wall-clock read or an
 //! iteration over a `HashMap` (whose order is salted per process) in a
 //! simulation-facing crate silently breaks that contract.
 //!

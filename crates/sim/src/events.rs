@@ -1,20 +1,12 @@
-//! Swappable, time-ordered pending-event schedulers.
+//! The simulator's time-ordered pending-event set.
 //!
-//! The simulation engine drives everything through the [`EventScheduler`]
-//! trait: a pending-event set ordered by time with **FIFO tie-breaking**
-//! (events pushed earlier pop earlier when their times are bit-identical).
-//! Two backends implement the contract:
-//!
-//! * [`EventQueue`] — a binary heap; O(log n) per operation, unbeatable at
-//!   tiny sizes, and the historical reference backend every golden
-//!   trajectory was pinned against.
-//! * [`CalendarQueue`](crate::CalendarQueue) — a calendar queue (Brown
-//!   1988); amortized O(1) per operation on the near-future-heavy event
-//!   mix of an M/G/1 cluster, and the fast path at large `n`.
-//!
-//! Both backends must pop in *exactly* the same order — the differential
-//! proptests in `tests/event_queue_equiv.rs` and the golden-trajectory
-//! suite enforce this bit for bit.
+//! [`EventQueue`] is a binary heap ordered by time with **FIFO
+//! tie-breaking**: events whose times are bit-identical pop in push order.
+//! The tie-break is part of the contract, not an implementation detail —
+//! it keeps runs deterministic when events coincide (e.g. a zero-length
+//! burst gap), and every golden trajectory is pinned against it. The
+//! reference-model proptests in `tests/event_queue_equiv.rs` check the
+//! contract against a sorted `Vec`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,7 +14,7 @@ use std::fmt;
 
 /// Error scheduling an event at an invalid time.
 ///
-/// Returned by [`EventScheduler::try_push`] so a malformed configuration
+/// Returned by [`EventQueue::try_push`] so a malformed configuration
 /// (e.g. a distribution that produced NaN) surfaces as a typed error the
 /// experiment runner can report, instead of a panic deep inside a trial
 /// (previously `Entry::cmp` would abort with
@@ -50,7 +42,7 @@ impl fmt::Display for SchedError {
 impl std::error::Error for SchedError {}
 
 /// Validates an event time for scheduling.
-pub(crate) fn check_time(time: f64) -> Result<(), SchedError> {
+fn check_time(time: f64) -> Result<(), SchedError> {
     // `time >= 0.0` is false for both NaN and negatives, so valid times —
     // the overwhelmingly common case — pay a single comparison; the two
     // rejections are disambiguated only on the cold path.
@@ -63,134 +55,13 @@ pub(crate) fn check_time(time: f64) -> Result<(), SchedError> {
     }
 }
 
-/// A pending-event set ordered by simulation time.
+/// A binary-heap pending-event set.
 ///
-/// # Contract
-///
-/// * [`pop`](EventScheduler::pop) returns events in non-decreasing time
-///   order.
-/// * Events with bit-identical times pop in push order (FIFO), which keeps
-///   runs deterministic even when events coincide (e.g. a zero-length
-///   burst gap). The tie-break is part of the contract, not an
-///   implementation detail: every backend must produce the *same* pop
-///   sequence for the same push/pop interleaving.
-/// * [`try_push`](EventScheduler::try_push) rejects NaN and negative times
-///   with a typed [`SchedError`].
-///
-/// `peek`/`peek_time` take `&mut self` because cursor-based backends (the
-/// calendar queue) advance internal position state while searching for the
-/// minimum; the observable state (the pending set and its pop order) is
-/// never changed by a peek.
-pub trait EventScheduler<E> {
-    /// Creates an empty scheduler.
-    fn new() -> Self
-    where
-        Self: Sized;
-
-    /// Creates an empty scheduler with room for `capacity` events.
-    fn with_capacity(capacity: usize) -> Self
-    where
-        Self: Sized;
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedError`] if `time` is NaN or negative.
-    fn try_push(&mut self, time: f64, event: E) -> Result<(), SchedError>;
-
-    /// Removes and returns the earliest event, if any.
-    fn pop(&mut self) -> Option<(f64, E)>;
-
-    /// The time of the earliest pending event, if any.
-    fn peek_time(&mut self) -> Option<f64>;
-
-    /// The earliest pending event (time and payload) without removing it.
-    ///
-    /// Lets a caller that lazily invalidates events (e.g. departures
-    /// cancelled by a server crash) discard stale entries before acting
-    /// on the head of the queue.
-    fn peek(&mut self) -> Option<(f64, &E)>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all pending events.
-    fn clear(&mut self);
-}
-
-/// Which [`EventScheduler`] backend a simulation run uses.
-///
-/// Both backends produce bit-identical trajectories (enforced by the
-/// golden-trajectory suite); the choice is purely a performance knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum SchedulerKind {
-    /// Binary-heap backend ([`EventQueue`]) — the reference.
-    #[default]
-    Heap,
-    /// Calendar-queue backend ([`crate::CalendarQueue`]) — the fast path
-    /// for large pending sets.
-    Calendar,
-}
-
-impl SchedulerKind {
-    /// Short machine-readable label (used in benches and CLI parsing).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Calendar => "calendar",
-        }
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(SchedulerKind::Heap),
-            "calendar" => Ok(SchedulerKind::Calendar),
-            other => Err(format!(
-                "unknown scheduler backend {other:?} (expected \"heap\" or \"calendar\")"
-            )),
-        }
-    }
-}
-
-/// Ties an event-payload type to a scheduler backend at compile time, so
-/// the engine's hot loop monomorphizes per backend instead of calling
-/// through a vtable.
-pub trait SchedulerFamily {
-    /// The backend used for payload type `E`.
-    type Scheduler<E>: EventScheduler<E>;
-}
-
-/// [`SchedulerFamily`] for the binary-heap backend.
-#[derive(Debug, Clone, Copy)]
-pub struct HeapBackend;
-
-impl SchedulerFamily for HeapBackend {
-    type Scheduler<E> = EventQueue<E>;
-}
-
-/// [`SchedulerFamily`] for the calendar-queue backend.
-#[derive(Debug, Clone, Copy)]
-pub struct CalendarBackend;
-
-impl SchedulerFamily for CalendarBackend {
-    type Scheduler<E> = crate::CalendarQueue<E>;
-}
-
-/// A binary-heap pending-event set — the reference [`EventScheduler`]
-/// backend.
-///
-/// Ties in time are broken by insertion order (FIFO), which keeps runs
+/// [`pop`](EventQueue::pop) returns events in non-decreasing time order;
+/// ties in time are broken by insertion order (FIFO), which keeps runs
 /// deterministic even when events coincide (e.g. a zero-length burst gap).
+/// [`try_push`](EventQueue::try_push) rejects NaN and negative times with
+/// a typed [`SchedError`].
 ///
 /// # Example
 ///
@@ -301,6 +172,10 @@ impl<E> EventQueue<E> {
     }
 
     /// The earliest pending event (time and payload) without removing it.
+    ///
+    /// Lets a caller that lazily invalidates events (e.g. departures
+    /// cancelled by a server crash) discard stale entries before acting
+    /// on the head of the queue.
     pub fn peek(&self) -> Option<(f64, &E)> {
         self.heap.peek().map(|e| (e.time, &e.event))
     }
@@ -327,44 +202,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> EventScheduler<E> for EventQueue<E> {
-    fn new() -> Self {
-        EventQueue::new()
-    }
-
-    fn with_capacity(capacity: usize) -> Self {
-        EventQueue::with_capacity(capacity)
-    }
-
-    #[inline]
-    fn try_push(&mut self, time: f64, event: E) -> Result<(), SchedError> {
-        EventQueue::try_push(self, time, event)
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(f64, E)> {
-        EventQueue::pop(self)
-    }
-
-    #[inline]
-    fn peek_time(&mut self) -> Option<f64> {
-        EventQueue::peek_time(self)
-    }
-
-    #[inline]
-    fn peek(&mut self) -> Option<(f64, &E)> {
-        EventQueue::peek(self)
-    }
-
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    fn clear(&mut self) {
-        EventQueue::clear(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,14 +209,19 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        for &t in &[5.0, 1.0, 3.0, 2.0, 4.0] {
-            q.push(t, t as i32);
+        // Includes far-future times many orders of magnitude apart.
+        let times = [5.0, 1.0, 3.0, 2.0e9, 2.0, 4.0, 0.5, 1.0e6, 2.5, 0.0];
+        for &t in &times {
+            q.push(t, t as i64);
         }
         let mut prev = f64::NEG_INFINITY;
+        let mut popped = 0;
         while let Some((t, _)) = q.pop() {
             assert!(t >= prev);
             prev = t;
+            popped += 1;
         }
+        assert_eq!(popped, times.len());
     }
 
     #[test]
@@ -409,6 +251,8 @@ mod tests {
         q.push(2.0, "late");
         q.push(1.0, "early");
         assert_eq!(q.peek(), Some((1.0, &"early")));
+        assert_eq!(q.peek_time(), Some(1.0));
+        assert_eq!(q.peek(), Some((1.0, &"early")));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((1.0, "early")));
         assert_eq!(q.peek(), Some((2.0, &"late")));
@@ -418,12 +262,19 @@ mod tests {
     fn len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(1.0, ());
-        q.push(2.0, ());
-        assert_eq!(q.len(), 2);
+        for i in 0..100u32 {
+            q.push(i as f64, i);
+        }
+        assert_eq!(q.len(), 100);
         q.clear();
         assert!(q.is_empty());
+        assert_eq!(q.peek(), None);
         assert_eq!(q.pop(), None);
+        // Still usable, and still FIFO on ties, after a clear.
+        q.push(1.0, 7);
+        q.push(1.0, 8);
+        assert_eq!(q.pop(), Some((1.0, 7)));
+        assert_eq!(q.pop(), Some((1.0, 8)));
     }
 
     /// Regression (ISSUE 3): NaN and negative times must surface as a
@@ -462,15 +313,5 @@ mod tests {
     fn rejects_negative_time() {
         let mut q = EventQueue::new();
         q.push(-1.0, ());
-    }
-
-    #[test]
-    fn scheduler_kind_parses_and_labels() {
-        assert_eq!("heap".parse(), Ok(SchedulerKind::Heap));
-        assert_eq!("calendar".parse(), Ok(SchedulerKind::Calendar));
-        assert!("wheel".parse::<SchedulerKind>().is_err());
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Heap);
-        assert_eq!(SchedulerKind::Heap.label(), "heap");
-        assert_eq!(SchedulerKind::Calendar.label(), "calendar");
     }
 }

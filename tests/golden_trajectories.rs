@@ -11,7 +11,6 @@
 use staleload::core::{run_simulation, ArrivalSpec, FaultSpec, RetrySpec, RunResult, SimConfig};
 use staleload::info::InfoSpec;
 use staleload::policies::PolicySpec;
-use staleload::sim::SchedulerKind;
 
 fn combos() -> Vec<(&'static str, ArrivalSpec, InfoSpec, PolicySpec, FaultSpec)> {
     vec![
@@ -240,7 +239,6 @@ fn run_combo(
     faults: FaultSpec,
     controls: Controls,
     seed: u64,
-    scheduler: SchedulerKind,
 ) -> RunResult {
     let mut builder = SimConfig::builder();
     builder
@@ -248,8 +246,7 @@ fn run_combo(
         .lambda(0.9)
         .arrivals(20_000)
         .seed(seed)
-        .faults(faults)
-        .scheduler(scheduler);
+        .faults(faults);
     if let Some(cap) = controls.queue_cap {
         builder.queue_cap(cap);
     }
@@ -301,7 +298,7 @@ fn default_path_replays_pre_control_plane_bits() {
 }
 
 /// (combo label, seed, mean_response bits, end_time bits) for the
-/// control-plane matrix, captured from the heap backend (ISSUE 3). To
+/// control-plane matrix, captured from the engine. To
 /// regenerate after an *intentional* trajectory change, run
 /// `cargo test --test golden_trajectories -- --ignored --nocapture`
 /// and paste the printed array.
@@ -380,20 +377,12 @@ const CONTROL_GOLDEN: [(&str, u64, u64, u64); 12] = [
     ),
 ];
 
-/// The control-plane matrix replays its pinned heap-backend bits.
+/// The control-plane matrix replays its pinned bits.
 #[test]
 fn control_plane_matrix_replays_pinned_bits() {
     for (label, arrivals, info, policy, faults, controls) in control_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             let (_, _, mean_bits, end_bits) = *CONTROL_GOLDEN
                 .iter()
                 .find(|(l, s, _, _)| *l == label && *s == seed)
@@ -411,73 +400,6 @@ fn control_plane_matrix_replays_pinned_bits() {
                 "{label} seed {seed}: end_time drifted from golden \
                  ({} vs bits {end_bits:#018x})",
                 r.end_time,
-            );
-        }
-    }
-}
-
-/// The calendar backend must replay every heap trajectory bit for bit:
-/// same response bits, same end time, same fault and overload counters.
-/// This is the scheduler contract (same pop order for the same pushes)
-/// checked end to end through the full engine, not just the queue.
-#[test]
-fn calendar_backend_replays_heap_bits_everywhere() {
-    let mut all: Vec<(
-        &'static str,
-        ArrivalSpec,
-        InfoSpec,
-        PolicySpec,
-        FaultSpec,
-        Controls,
-    )> = combos()
-        .into_iter()
-        .map(|(l, a, i, p, f)| (l, a, i, p, f, Controls::default()))
-        .collect();
-    all.extend(control_combos());
-    all.extend(tail_combos());
-    for (label, arrivals, info, policy, faults, controls) in all {
-        for seed in 1..=3u64 {
-            let heap = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
-            let cal = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Calendar,
-            );
-            assert_eq!(
-                heap.mean_response.to_bits(),
-                cal.mean_response.to_bits(),
-                "{label} seed {seed}: calendar mean_response {} != heap {}",
-                cal.mean_response,
-                heap.mean_response,
-            );
-            assert_eq!(
-                heap.end_time.to_bits(),
-                cal.end_time.to_bits(),
-                "{label} seed {seed}: calendar end_time diverged"
-            );
-            assert_eq!(
-                heap.faults, cal.faults,
-                "{label} seed {seed}: fault counters diverged"
-            );
-            assert_eq!(
-                heap.overload, cal.overload,
-                "{label} seed {seed}: overload counters diverged"
-            );
-            assert_eq!(
-                heap.measured_jobs, cal.measured_jobs,
-                "{label} seed {seed}: measured job counts diverged"
             );
         }
     }
@@ -521,7 +443,7 @@ fn tail_combos() -> Vec<(
 }
 
 /// (combo label, seed, mean_response bits, p999 bits) for the estimator
-/// matrix, captured from the heap backend (ISSUE 8). Regenerate with the
+/// matrix, captured from the engine. Regenerate with the
 /// `print_tail_golden_bits` capture helper after intentional changes.
 const TAIL_GOLDEN: [(&str, u64, u64, u64); 6] = [
     ("tails/ewma", 1, 0x401864948ee4cf0d, 0x403a5f8c5a0d9fe5),
@@ -553,15 +475,7 @@ const TAIL_GOLDEN: [(&str, u64, u64, u64); 6] = [
 fn estimator_matrix_replays_pinned_bits() {
     for (label, arrivals, info, policy, faults, controls) in tail_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             let (_, _, mean_bits, p999_bits) = *TAIL_GOLDEN
                 .iter()
                 .find(|(l, s, _, _)| *l == label && *s == seed)
@@ -585,21 +499,13 @@ fn estimator_matrix_replays_pinned_bits() {
 }
 
 /// Capture helper (not a regression test): prints the TAIL_GOLDEN array
-/// body from the current heap backend.
+/// body from the current engine.
 #[test]
 #[ignore = "capture helper; run with --ignored --nocapture to regenerate TAIL_GOLDEN"]
 fn print_tail_golden_bits() {
     for (label, arrivals, info, policy, faults, controls) in tail_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             println!(
                 "    (\"{label}\", {seed}, {:#018x}, {:#018x}),",
                 r.mean_response.to_bits(),
@@ -610,21 +516,13 @@ fn print_tail_golden_bits() {
 }
 
 /// Capture helper (not a regression test): prints the CONTROL_GOLDEN array
-/// body from the current heap backend.
+/// body from the current engine.
 #[test]
 #[ignore = "capture helper; run with --ignored --nocapture to regenerate CONTROL_GOLDEN"]
 fn print_control_golden_bits() {
     for (label, arrivals, info, policy, faults, controls) in control_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             println!(
                 "    (\n        \"{label}\",\n        {seed},\n        {:#018x},\n        {:#018x},\n    ),",
                 r.mean_response.to_bits(),

@@ -7,7 +7,6 @@
 use staleload::core::{ArrivalSpec, Experiment, FaultSpec, RetrySpec, SimConfig};
 use staleload::info::InfoSpec;
 use staleload::policies::PolicySpec;
-use staleload::sim::SchedulerKind;
 
 fn experiments() -> Vec<(&'static str, Experiment)> {
     let mk_cfg = |seed: u64| {
@@ -56,9 +55,9 @@ fn experiments() -> Vec<(&'static str, Experiment)> {
             ),
         ),
         (
-            "calendar/basic-li",
+            "seed-104/basic-li",
             Experiment::new(
-                mk_cfg(104).scheduler(SchedulerKind::Calendar).build(),
+                mk_cfg(104).build(),
                 ArrivalSpec::Poisson,
                 InfoSpec::Periodic { period: 10.0 },
                 PolicySpec::BasicLi { lambda: 0.9 },
