@@ -558,7 +558,8 @@ fn check(baseline_path: &str) -> Result<(), String> {
     // overhead must honor the hard budget (the reference measurement is
     // the claim), and a fresh same-machine re-measurement may not exceed
     // it by more than the noise tolerance, widened to the baseline's own
-    // spread when that is wider.
+    // spread when that is wider, nor exceed the budget itself (a noisy
+    // baseline must not widen the gate past it).
     let base_frac = json_spread(&baseline, "sketch_overhead_frac")?;
     if base_frac.median >= SKETCH_GATE {
         failures.push(format!(
@@ -626,7 +627,7 @@ fn check(baseline_path: &str) -> Result<(), String> {
         }
     }
     let frac = sketch_overhead(&run_engine(scale)).median;
-    let ceiling = base_frac.median * (1.0 + base_frac.tolerance());
+    let ceiling = (base_frac.median * (1.0 + base_frac.tolerance())).min(SKETCH_GATE);
     println!(
         "sketch_overhead_frac: baseline {:.4}, current {frac:.4}, \
          ceiling {ceiling:.4} (budget {SKETCH_GATE:.2})",

@@ -2,8 +2,8 @@
 //! CLI crate, and the grammar is small).
 
 use staleload_core::{
-    clients_for_mean_age, ArrivalSpec, ChurnSpec, CorruptSpec, EngineMode, FaultSpec,
-    PartitionSpec, PopulationSampler, RetrySpec, SimConfig,
+    clients_for_mean_age, validate_run, ArrivalSpec, ChurnSpec, CorruptSpec, EngineMode, FaultSpec,
+    PartitionSpec, RetrySpec, SimConfig,
 };
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
@@ -291,7 +291,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut retry: Option<RetrySpec> = None;
     let mut guard: Option<(f64, f64)> = None;
     let mut engine = EngineMode::PerServer;
-    let mut population_sampler = PopulationSampler::Alias;
     let mut detail = false;
     let mut watchdog: Option<f64> = None;
     let mut sketch_cap: Option<usize> = None;
@@ -457,9 +456,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
             "--engine" => {
                 engine = take("--engine")?.parse::<EngineMode>()?;
             }
-            "--population-sampler" => {
-                population_sampler = take("--population-sampler")?.parse::<PopulationSampler>()?;
-            }
             "--watchdog" => {
                 let secs: f64 = take("--watchdog")?
                     .parse()
@@ -518,7 +514,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     }
 
     let info = parse_info(&info_spec)?;
-    info.validate()?;
     let service = parse_service(&service_spec)?;
     // SITA-E derives its size cutoffs from the service distribution and
     // server count, so it is resolved here rather than in `parse_policy`.
@@ -569,7 +564,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         },
         None => policy,
     };
-    policy.validate()?;
 
     let arrivals_spec = match parse_uoa_age(&info_spec)? {
         Some(age) => {
@@ -591,7 +585,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         .service(service)
         .seed(seed)
         .engine(engine)
-        .population_sampler(population_sampler)
         .faults(faults);
     if let Some(caps) = capacities {
         builder.capacities(caps);
@@ -612,6 +605,7 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         builder.sketch_cap(cap);
     }
     let config = builder.try_build().map_err(|e| e.to_string())?;
+    validate_run(&config, &arrivals_spec, &info, &policy).map_err(|e| e.to_string())?;
 
     Ok(RunArgs {
         config,
@@ -861,29 +855,39 @@ mod tests {
     fn engine_flag_selects_population_mode() {
         let plain = parse_run(&[]).unwrap();
         assert_eq!(plain.config.engine, EngineMode::PerServer);
-        assert_eq!(plain.config.population_sampler, PopulationSampler::Alias);
         let pop = parse_run(&strings(&["--engine", "population"])).unwrap();
         assert_eq!(pop.config.engine, EngineMode::Population);
         let mf = parse_run(&strings(&["--engine", "mean-field"])).unwrap();
         assert_eq!(mf.config.engine, EngineMode::Population);
-        let scan = parse_run(&strings(&[
-            "--engine",
-            "population",
-            "--population-sampler",
-            "scan",
-        ]))
-        .unwrap();
-        assert_eq!(scan.config.population_sampler, PopulationSampler::Scan);
         assert!(parse_run(&strings(&["--engine", "quantum"])).is_err());
-        assert!(parse_run(&strings(&["--population-sampler", "hash"])).is_err());
         // Builder-level compatibility checks surface as parse errors.
         let err = parse_run(&strings(&["--engine", "population", "--service", "det"])).unwrap_err();
         assert!(err.contains("exponential"), "{err}");
         let err = parse_run(&strings(&["--engine", "population", "--queue-cap", "8"])).unwrap_err();
         assert!(err.contains("overload"), "{err}");
-        // The per-server engine has no routing sampler to switch.
+        // The routing sampler is fixed: alias tables, no knob.
         let err = parse_run(&strings(&["--population-sampler", "scan"])).unwrap_err();
-        assert!(err.contains("population engine"), "{err}");
+        assert_eq!(err, "unknown flag '--population-sampler'");
+    }
+
+    #[test]
+    fn cross_spec_rules_fail_at_parse_time() {
+        let err = parse_run(&strings(&[
+            "--engine",
+            "population",
+            "--policy",
+            "aggressive-li",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.starts_with("invalid simulation configuration: population engine supports"),
+            "{err}"
+        );
+        let err = parse_run(&strings(&["--hedge", "2", "--queue-cap", "4"])).unwrap_err();
+        assert!(
+            err.starts_with("invalid simulation configuration: hedged dispatch"),
+            "{err}"
+        );
     }
 
     #[test]

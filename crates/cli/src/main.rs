@@ -106,8 +106,6 @@ fn print_help() {
          population (count-based mean-field fast path; exact in\n                     \
          distribution for random/k-subset/greedy/basic-li over\n                     \
          fresh or periodic info, scales to millions of servers)\n  \
-         --population-sampler S  routing sampler for --engine population:\n                     \
-         alias (default, O(1) draws) or scan (linear reference)\n  \
          --watchdog SECS    per-trial wall-clock budget; a trial whose every\n                     \
          attempt (one retry after jittered backoff) exceeds it is\n                     \
          reported as a failed trial instead of hanging the run\n  \

@@ -3,6 +3,8 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use staleload_info::InfoSpec;
+use staleload_policies::PolicySpec;
 use staleload_sim::Dist;
 use staleload_workloads::{BurstConfig, RetrySpec};
 
@@ -92,47 +94,6 @@ impl fmt::Display for EngineMode {
     }
 }
 
-/// How the population engine draws routing decisions from a frozen
-/// per-phase class distribution (ISSUE 9).
-///
-/// Both samplers draw from the same distribution, so they agree
-/// statistically; they consume the RNG differently, so trajectories
-/// differ bit-wise. `Scan` exists as the differential-testing reference
-/// for the alias fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum PopulationSampler {
-    /// Walker/Vose alias table: O(1) per draw after an O(K) per-phase
-    /// build (the default).
-    #[default]
-    Alias,
-    /// Linear scan over class weights: O(K) per draw, no per-phase build.
-    Scan,
-}
-
-impl std::str::FromStr for PopulationSampler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "alias" => Ok(PopulationSampler::Alias),
-            "scan" => Ok(PopulationSampler::Scan),
-            other => Err(format!(
-                "unknown population sampler '{other}' (expected alias or scan)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for PopulationSampler {
-    /// Canonical CLI spelling; round-trips through [`FromStr`](std::str::FromStr).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PopulationSampler::Alias => "alias",
-            PopulationSampler::Scan => "scan",
-        })
-    }
-}
-
 /// Error constructing a [`SimConfig`] from invalid parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
@@ -206,11 +167,6 @@ pub struct SimConfig {
     /// policy/info subset but draws the RNG differently, so trajectories
     /// are not bit-comparable across modes — only statistics are.
     pub engine: EngineMode,
-    /// Routing sampler used by the population engine: the alias-table
-    /// fast path or the linear-scan reference it is differentially tested
-    /// against. The per-server engine has no sampler, so selecting `Scan`
-    /// there is a config error.
-    pub population_sampler: PopulationSampler,
     /// Master seed; trials derive their own seeds from it.
     pub seed: u64,
 }
@@ -241,160 +197,18 @@ impl SimConfig {
     pub fn warmup_jobs(&self) -> u64 {
         (self.arrivals as f64 * self.warmup_fraction) as u64
     }
-}
 
-/// Builder for [`SimConfig`].
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    servers: usize,
-    lambda: f64,
-    arrivals: u64,
-    warmup_fraction: f64,
-    service: Dist,
-    capacities: Option<Vec<f64>>,
-    work_stealing: Option<u32>,
-    faults: FaultSpec,
-    queue_cap: Option<u32>,
-    deadline: Option<f64>,
-    retry: Option<RetrySpec>,
-    sketch_cap: usize,
-    engine: EngineMode,
-    population_sampler: PopulationSampler,
-    seed: u64,
-}
-
-impl Default for SimConfigBuilder {
-    fn default() -> Self {
-        Self {
-            servers: 100,
-            lambda: 0.9,
-            arrivals: 500_000,
-            warmup_fraction: 0.1,
-            service: Dist::exponential(1.0),
-            capacities: None,
-            work_stealing: None,
-            faults: FaultSpec::none(),
-            queue_cap: None,
-            deadline: None,
-            retry: None,
-            sketch_cap: staleload_stats::TailSketch::DEFAULT_CAP,
-            engine: EngineMode::PerServer,
-            population_sampler: PopulationSampler::Alias,
-            seed: 1,
-        }
-    }
-}
-
-impl SimConfigBuilder {
-    /// Sets the number of servers `n`.
-    pub fn servers(&mut self, n: usize) -> &mut Self {
-        self.servers = n;
-        self
-    }
-
-    /// Sets the true per-server load λ.
-    pub fn lambda(&mut self, lambda: f64) -> &mut Self {
-        self.lambda = lambda;
-        self
-    }
-
-    /// Sets the total number of generated jobs.
-    pub fn arrivals(&mut self, arrivals: u64) -> &mut Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Sets the warm-up fraction (default 0.1).
-    pub fn warmup_fraction(&mut self, f: f64) -> &mut Self {
-        self.warmup_fraction = f;
-        self
-    }
-
-    /// Sets the job-size distribution.
-    pub fn service(&mut self, service: Dist) -> &mut Self {
-        self.service = service;
-        self
-    }
-
-    /// Makes the cluster heterogeneous: server `i` runs at rate
-    /// `capacities[i]` (also sets `servers` to the vector's length).
-    pub fn capacities(&mut self, capacities: Vec<f64>) -> &mut Self {
-        self.servers = capacities.len();
-        self.capacities = Some(capacities);
-        self
-    }
-
-    /// Enables receiver-driven work stealing: an idle server pulls a
-    /// waiting job from the longest queue when it holds at least
-    /// `min_victim_load` jobs (≥ 2).
-    pub fn work_stealing(&mut self, min_victim_load: u32) -> &mut Self {
-        self.work_stealing = Some(min_victim_load);
-        self
-    }
-
-    /// Enables fault injection (server crashes and/or a lossy update
-    /// channel); see [`FaultSpec`].
-    pub fn faults(&mut self, faults: FaultSpec) -> &mut Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Bounds every server's queue at `cap` jobs (including the one in
-    /// service); arrivals beyond the cap are rejected.
-    pub fn queue_cap(&mut self, cap: u32) -> &mut Self {
-        self.queue_cap = Some(cap);
-        self
-    }
-
-    /// Sets the per-job waiting deadline: jobs still waiting this long
-    /// after admission renege.
-    pub fn deadline(&mut self, deadline: f64) -> &mut Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Enables the retry orbit for rejected/reneged jobs.
-    pub fn retry(&mut self, retry: RetrySpec) -> &mut Self {
-        self.retry = Some(retry);
-        self
-    }
-
-    /// Sets the exact-mode capacity of the response-time quantile
-    /// sketch (must be ≥ 1; the default keeps runs of up to
-    /// [`staleload_stats::TailSketch::DEFAULT_CAP`] measured jobs exact).
-    pub fn sketch_cap(&mut self, cap: usize) -> &mut Self {
-        self.sketch_cap = cap;
-        self
-    }
-
-    /// Selects the engine's state representation (default: per-server).
-    pub fn engine(&mut self, engine: EngineMode) -> &mut Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Selects the population engine's routing sampler (default: the
-    /// alias table).
-    pub fn population_sampler(&mut self, sampler: PopulationSampler) -> &mut Self {
-        self.population_sampler = sampler;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Validates and builds the configuration.
+    /// Checks every rule on the configuration's own fields. The fields
+    /// are public, so [`run_simulation`](crate::run_simulation) applies
+    /// this again to configs edited after [`SimConfigBuilder::try_build`].
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any parameter is out of range
     /// (`servers == 0`, `λ ∉ (0, 2]`, `arrivals == 0`,
-    /// `warmup_fraction ∉ [0, 1)`) or a knob does not apply to the
+    /// `warmup_fraction ∉ [0, 1)`, …) or a knob does not apply to the
     /// selected engine.
-    pub fn try_build(&self) -> Result<SimConfig, ConfigError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.servers == 0 {
             return Err(ConfigError::new("need at least one server"));
         }
@@ -496,29 +310,235 @@ impl SimConfigBuilder {
                     self.service
                 )));
             }
-        } else if self.population_sampler == PopulationSampler::Scan {
+        }
+        Ok(())
+    }
+}
+
+/// Checks the rules that span the config and the run's specs: spec
+/// parameters, fault knobs that need a bulletin board, hedging's
+/// exclusions, MMPP shape, and the population engine's supported
+/// subset. [`run_simulation`](crate::run_simulation) applies it (after
+/// [`SimConfig::validate`]) before dispatching to either engine; the CLI
+/// applies it at parse time. It draws no randomness, so a gated run's
+/// trajectory is unchanged.
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] naming the first rule the combination breaks.
+pub fn validate_run(
+    cfg: &SimConfig,
+    arrivals: &ArrivalSpec,
+    info: &InfoSpec,
+    policy: &PolicySpec,
+) -> Result<(), ConfigError> {
+    info.validate().map_err(ConfigError::new)?;
+    policy.validate().map_err(ConfigError::new)?;
+    if arrivals.clients() == 0 {
+        return Err(ConfigError::new("arrival spec needs at least one client"));
+    }
+    if let ArrivalSpec::Mmpp {
+        rate_ratio,
+        high_fraction,
+        ..
+    } = *arrivals
+    {
+        if rate_ratio < 1.0 {
+            return Err(ConfigError::new(format!(
+                "MMPP rate ratio must be at least 1, got {rate_ratio}"
+            )));
+        }
+        if !((0.0..1.0).contains(&high_fraction) && high_fraction > 0.0) {
+            return Err(ConfigError::new(format!(
+                "MMPP high fraction must be in (0, 1), got {high_fraction}"
+            )));
+        }
+    }
+    if !info.supports_loss() {
+        let board_faults = [
+            ("loss injection", cfg.faults.loss.is_some()),
+            ("view partitioning", cfg.faults.partition.is_some()),
+            (
+                "report corruption",
+                cfg.faults.corrupt.is_some_and(|c| !c.is_noop()),
+            ),
+        ];
+        if let Some((what, _)) = board_faults.iter().find(|(_, on)| *on) {
+            return Err(ConfigError::new(format!(
+                "{what} needs a bulletin-board info model (periodic or individual), got {}",
+                info.label()
+            )));
+        }
+    }
+    // Hedging is engine machinery: the factor must fit the cluster and
+    // nothing else may fight over job ownership (policy.validate() above
+    // already rejected h = 0 and nested hedging).
+    if let (Some(h), _) = policy.split_hedged() {
+        if h as usize > cfg.servers {
+            return Err(ConfigError::new(format!(
+                "hedge factor h={h} exceeds the cluster size n={}",
+                cfg.servers
+            )));
+        }
+        if cfg.queue_cap.is_some() || cfg.deadline.is_some() || cfg.retry.is_some() {
             return Err(ConfigError::new(
-                "the scan sampler applies only to the population engine; the per-server \
-                 engine has no routing sampler to switch",
+                "hedged dispatch cannot be combined with overload controls (queue \
+                 caps, deadlines, retries): both would fight over job ownership",
             ));
         }
-        Ok(SimConfig {
-            servers: self.servers,
-            lambda: self.lambda,
-            arrivals: self.arrivals,
-            warmup_fraction: self.warmup_fraction,
-            service: self.service,
-            capacities: self.capacities.clone(),
-            work_stealing: self.work_stealing,
-            faults: self.faults,
-            queue_cap: self.queue_cap,
-            deadline: self.deadline,
-            retry: self.retry,
-            sketch_cap: self.sketch_cap,
-            engine: self.engine,
-            population_sampler: self.population_sampler,
-            seed: self.seed,
-        })
+        if cfg.work_stealing.is_some() {
+            return Err(ConfigError::new(
+                "hedged dispatch cannot be combined with work stealing: a stolen \
+                 replica would escape the hedge book",
+            ));
+        }
+        if cfg.faults.crash.is_some() {
+            return Err(ConfigError::new(
+                "hedged dispatch cannot be combined with crash faults (a replica \
+                 stalled on a down server could double-complete); model server \
+                 loss with churn instead",
+            ));
+        }
+    }
+    if cfg.engine == EngineMode::Population {
+        crate::population::supported_specs(cfg, arrivals, info, policy)?;
+    }
+    Ok(())
+}
+
+/// Builder for [`SimConfig`]: the setters edit a config that starts at
+/// the paper's defaults, and [`try_build`](Self::try_build) hands out a
+/// validated copy.
+#[derive(Debug, Clone)]
+pub struct SimConfigBuilder {
+    cfg: SimConfig,
+}
+
+impl Default for SimConfigBuilder {
+    fn default() -> Self {
+        Self {
+            cfg: SimConfig {
+                servers: 100,
+                lambda: 0.9,
+                arrivals: 500_000,
+                warmup_fraction: 0.1,
+                service: Dist::exponential(1.0),
+                capacities: None,
+                work_stealing: None,
+                faults: FaultSpec::none(),
+                queue_cap: None,
+                deadline: None,
+                retry: None,
+                sketch_cap: staleload_stats::TailSketch::DEFAULT_CAP,
+                engine: EngineMode::PerServer,
+                seed: 1,
+            },
+        }
+    }
+}
+
+impl SimConfigBuilder {
+    /// Sets the number of servers `n`.
+    pub fn servers(&mut self, n: usize) -> &mut Self {
+        self.cfg.servers = n;
+        self
+    }
+
+    /// Sets the true per-server load λ.
+    pub fn lambda(&mut self, lambda: f64) -> &mut Self {
+        self.cfg.lambda = lambda;
+        self
+    }
+
+    /// Sets the total number of generated jobs.
+    pub fn arrivals(&mut self, arrivals: u64) -> &mut Self {
+        self.cfg.arrivals = arrivals;
+        self
+    }
+
+    /// Sets the warm-up fraction (default 0.1).
+    pub fn warmup_fraction(&mut self, f: f64) -> &mut Self {
+        self.cfg.warmup_fraction = f;
+        self
+    }
+
+    /// Sets the job-size distribution.
+    pub fn service(&mut self, service: Dist) -> &mut Self {
+        self.cfg.service = service;
+        self
+    }
+
+    /// Makes the cluster heterogeneous: server `i` runs at rate
+    /// `capacities[i]` (also sets `servers` to the vector's length).
+    pub fn capacities(&mut self, capacities: Vec<f64>) -> &mut Self {
+        self.cfg.servers = capacities.len();
+        self.cfg.capacities = Some(capacities);
+        self
+    }
+
+    /// Enables receiver-driven work stealing: an idle server pulls a
+    /// waiting job from the longest queue when it holds at least
+    /// `min_victim_load` jobs (≥ 2).
+    pub fn work_stealing(&mut self, min_victim_load: u32) -> &mut Self {
+        self.cfg.work_stealing = Some(min_victim_load);
+        self
+    }
+
+    /// Enables fault injection (server crashes and/or a lossy update
+    /// channel); see [`FaultSpec`].
+    pub fn faults(&mut self, faults: FaultSpec) -> &mut Self {
+        self.cfg.faults = faults;
+        self
+    }
+
+    /// Bounds every server's queue at `cap` jobs (including the one in
+    /// service); arrivals beyond the cap are rejected.
+    pub fn queue_cap(&mut self, cap: u32) -> &mut Self {
+        self.cfg.queue_cap = Some(cap);
+        self
+    }
+
+    /// Sets the per-job waiting deadline: jobs still waiting this long
+    /// after admission renege.
+    pub fn deadline(&mut self, deadline: f64) -> &mut Self {
+        self.cfg.deadline = Some(deadline);
+        self
+    }
+
+    /// Enables the retry orbit for rejected/reneged jobs.
+    pub fn retry(&mut self, retry: RetrySpec) -> &mut Self {
+        self.cfg.retry = Some(retry);
+        self
+    }
+
+    /// Sets the exact-mode capacity of the response-time quantile
+    /// sketch (must be ≥ 1; the default keeps runs of up to
+    /// [`staleload_stats::TailSketch::DEFAULT_CAP`] measured jobs exact).
+    pub fn sketch_cap(&mut self, cap: usize) -> &mut Self {
+        self.cfg.sketch_cap = cap;
+        self
+    }
+
+    /// Selects the engine's state representation (default: per-server).
+    pub fn engine(&mut self, engine: EngineMode) -> &mut Self {
+        self.cfg.engine = engine;
+        self
+    }
+
+    /// Sets the master seed.
+    pub fn seed(&mut self, seed: u64) -> &mut Self {
+        self.cfg.seed = seed;
+        self
+    }
+
+    /// Validates and builds the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] of [`SimConfig::validate`].
+    pub fn try_build(&self) -> Result<SimConfig, ConfigError> {
+        self.cfg.validate()?;
+        Ok(self.cfg.clone())
     }
 
     /// Validates and builds the configuration.
@@ -566,12 +586,6 @@ mod tests {
         for mode in [EngineMode::PerServer, EngineMode::Population] {
             assert_eq!(mode.to_string().parse::<EngineMode>(), Ok(mode));
         }
-        for sampler in [PopulationSampler::Alias, PopulationSampler::Scan] {
-            assert_eq!(
-                sampler.to_string().parse::<PopulationSampler>(),
-                Ok(sampler)
-            );
-        }
     }
 
     #[test]
@@ -584,16 +598,6 @@ mod tests {
             .warmup_fraction(1.0)
             .try_build()
             .is_err());
-        // The per-server engine has no routing sampler to switch.
-        assert!(SimConfig::builder()
-            .population_sampler(PopulationSampler::Scan)
-            .try_build()
-            .is_err());
-        assert!(SimConfig::builder()
-            .engine(EngineMode::Population)
-            .population_sampler(PopulationSampler::Scan)
-            .try_build()
-            .is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use staleload_policies::{DispatchPolicy, Policy, PolicySpec};
 use staleload_sim::{EventQueue, OnlineStats, SchedError, SimRng};
 use staleload_workloads::{ArrivalProcess, RetrySpec};
 
-use crate::config::ConfigError;
+use crate::config::{validate_run, ConfigError};
 use crate::{
     ArrivalSpec, CrashSpec, OverloadStats, PartitionSpec, ResilienceStats, RunDetail, SimConfig,
     SimError,
@@ -357,88 +357,38 @@ fn random_up_server(cluster: &Cluster, rng: &mut SimRng) -> Option<ServerId> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Config`] when the specs are inconsistent: bad policy
-/// or info-model parameters, a bursty/MMPP arrival spec that cannot attain
-/// the configured load, or loss injection on an info model without an
-/// update channel.
+/// Returns [`SimError::Config`] when the config or the specs break a rule
+/// of [`SimConfig::validate`] or [`validate_run`] — both applied here,
+/// before either engine starts — or when a bursty/MMPP arrival spec
+/// cannot attain the configured load.
 pub fn run_simulation(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
     policy: &PolicySpec,
 ) -> Result<RunResult, SimError> {
-    // The population fast path has no pending-event set at all.
-    if cfg.engine == crate::EngineMode::Population {
-        return crate::population::run_population(cfg, arrivals, info, policy);
+    cfg.validate()?;
+    validate_run(cfg, arrivals, info, policy)?;
+    match cfg.engine {
+        // The population fast path has no pending-event set at all.
+        crate::EngineMode::Population => {
+            crate::population::run_population(cfg, arrivals, info, policy)
+        }
+        crate::EngineMode::PerServer => run_inner(cfg, arrivals, info, policy),
     }
-    run_inner(cfg, arrivals, info, policy)
 }
 
+/// The per-server engine; `cfg` and the specs have passed the gate in
+/// [`run_simulation`].
 fn run_inner(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
     policy: &PolicySpec,
 ) -> Result<RunResult, SimError> {
-    info.validate().map_err(ConfigError::new)?;
-    policy.validate().map_err(ConfigError::new)?;
-    cfg.faults.validate()?;
-    if cfg.faults.loss.is_some() && !info.supports_loss() {
-        return Err(ConfigError::new(format!(
-            "loss injection needs a bulletin-board info model (periodic or individual), got {}",
-            info.label()
-        ))
-        .into());
-    }
-    if cfg.faults.partition.is_some() && !info.supports_loss() {
-        return Err(ConfigError::new(format!(
-            "view partitions need a bulletin-board info model (periodic or individual), got {}",
-            info.label()
-        ))
-        .into());
-    }
-    if cfg.faults.corrupt.is_some_and(|c| !c.is_noop()) && !info.supports_loss() {
-        return Err(ConfigError::new(format!(
-            "report corruption needs a bulletin-board info model (periodic or individual), got {}",
-            info.label()
-        ))
-        .into());
-    }
-    // Hedging is engine machinery: strip the outermost wrapper (validate()
-    // above already rejected h = 0 and nested hedging) and check the
-    // factor fits the cluster and nothing else fights over job ownership.
+    // Hedging is engine machinery: strip the outermost wrapper and drive
+    // the replicas here.
     let (hedge, policy) = policy.split_hedged();
-    if let Some(h) = hedge {
-        if h as usize > cfg.servers {
-            return Err(ConfigError::new(format!(
-                "hedge factor h={h} exceeds the cluster size n={}",
-                cfg.servers
-            ))
-            .into());
-        }
-        if cfg.queue_cap.is_some() || cfg.deadline.is_some() || cfg.retry.is_some() {
-            return Err(ConfigError::new(
-                "hedged dispatch cannot be combined with overload controls (queue \
-                 caps, deadlines, retries): both would fight over job ownership",
-            )
-            .into());
-        }
-        if cfg.work_stealing.is_some() {
-            return Err(ConfigError::new(
-                "hedged dispatch cannot be combined with work stealing: a stolen \
-                 replica would escape the hedge book",
-            )
-            .into());
-        }
-        if cfg.faults.crash.is_some() {
-            return Err(ConfigError::new(
-                "hedged dispatch cannot be combined with crash faults (a replica \
-                 stalled on a down server could double-complete); model server \
-                 loss with churn instead",
-            )
-            .into());
-        }
-    }
 
     let mut master = SimRng::from_seed(cfg.seed);
     let mut arrival_rng = master.fork();
@@ -466,11 +416,9 @@ fn run_inner(
     let clients = arrivals.clients();
     let mut model = match cfg.faults.loss {
         Some(loss) => InfoDispatch::from_spec_lossy(info, n, loss, fault_rng.fork())
+            // Unreachable past the gate, which admits loss on boards only.
             .ok_or_else(|| {
-                ConfigError::new(format!(
-                    "loss injection needs a bulletin-board info model (periodic or individual), got {}",
-                    info.label()
-                ))
+                ConfigError::new(format!("{} has no update channel to drop", info.label()))
             })?,
         None => InfoDispatch::from_spec(info, n, clients),
     };
@@ -478,7 +426,7 @@ fn run_inner(
         // The fork happens only when corruption is live, so honest runs
         // stay bit-identical (same discipline as the loss channel above).
         let attached = model.attach_corruptor(corrupt, fault_rng.fork());
-        debug_assert!(attached, "supports_loss() was checked above");
+        debug_assert!(attached, "validate_run admits corruption on boards only");
     }
     // Cached build: adopts the scratch buffers (probability/CDF/sort
     // vectors) of the policy retired by this thread's previous run.
@@ -514,18 +462,6 @@ fn run_inner(
             high_fraction,
             cycle_mean,
         } => {
-            if rate_ratio < 1.0 {
-                return Err(ConfigError::new(format!(
-                    "MMPP rate ratio must be at least 1, got {rate_ratio}"
-                ))
-                .into());
-            }
-            if !((0.0..1.0).contains(&high_fraction) && high_fraction > 0.0) {
-                return Err(ConfigError::new(format!(
-                    "MMPP high fraction must be in (0, 1), got {high_fraction}"
-                ))
-                .into());
-            }
             // Solve the low rate so the sojourn-weighted mean is λ·n.
             let low = total_rate / (1.0 - high_fraction + high_fraction * rate_ratio);
             let high = rate_ratio * low;

@@ -69,10 +69,10 @@
 
 use staleload_info::InfoSpec;
 use staleload_policies::PolicySpec;
-use staleload_sim::{Dist, OnlineStats, SimRng};
+use staleload_sim::{OnlineStats, SimRng};
 use staleload_workloads::AliasTable;
 
-use crate::config::{ConfigError, PopulationSampler};
+use crate::config::ConfigError;
 use crate::engine::FaultStats;
 use crate::{
     ArrivalSpec, OverloadStats, ResilienceStats, RunDetail, RunResult, SimConfig, SimError,
@@ -86,7 +86,7 @@ const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 /// whose decisions depend on the board only through the multiset of
 /// advertised loads).
 #[derive(Debug, Clone, Copy)]
-enum PopPolicy {
+pub(crate) enum PopPolicy {
     Random,
     KSubset { d: usize },
     Greedy,
@@ -96,65 +96,27 @@ enum PopPolicy {
 /// The information-model subset: a shared snapshot view (periodic board)
 /// or no staleness at all.
 #[derive(Debug, Clone, Copy)]
-enum PopInfo {
+pub(crate) enum PopInfo {
     Fresh,
     Periodic { period: f64 },
 }
 
-fn unsupported(what: &str, hint: &str) -> SimError {
-    ConfigError::new(format!("population engine does not support {what}; {hint}")).into()
-}
-
-/// Validates the configuration against the population engine's supported
-/// subset and extracts the internal specs.
-///
-/// `SimConfigBuilder::try_build` performs the same `SimConfig`-level
-/// checks; they are repeated here because a deserialized config never went
-/// through the builder.
-fn validate(
+/// Maps the specs onto the population engine's supported subset: the
+/// plain Poisson stream, a shared snapshot view, and a symmetric policy.
+/// [`validate_run`](crate::validate_run) applies it as a rule; the engine
+/// applies it again to extract the internal specs.
+pub(crate) fn supported_specs(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
     policy: &PolicySpec,
-) -> Result<(PopPolicy, PopInfo, f64), SimError> {
-    info.validate().map_err(ConfigError::new)?;
-    policy.validate().map_err(ConfigError::new)?;
-    if cfg.servers == 0 {
-        return Err(ConfigError::new("population engine needs at least one server").into());
-    }
+) -> Result<(PopPolicy, PopInfo), ConfigError> {
     if !matches!(arrivals, ArrivalSpec::Poisson) {
-        return Err(unsupported(
-            "per-client arrival processes",
-            "use the plain Poisson stream or the per-server engine",
+        return Err(ConfigError::new(
+            "population engine does not support per-client arrival processes; use the plain \
+             Poisson stream or the per-server engine",
         ));
     }
-    if cfg.capacities.is_some() {
-        return Err(unsupported(
-            "heterogeneous capacities",
-            "servers must be exchangeable for the count representation",
-        ));
-    }
-    if cfg.work_stealing.is_some() {
-        return Err(unsupported("work stealing", "use the per-server engine"));
-    }
-    if !cfg.faults.is_none() {
-        return Err(unsupported("fault injection", "use the per-server engine"));
-    }
-    if cfg.queue_cap.is_some() || cfg.deadline.is_some() || cfg.retry.is_some() {
-        return Err(unsupported(
-            "overload controls (queue caps, deadlines, retries)",
-            "use the per-server engine",
-        ));
-    }
-    let svc_mean = match cfg.service {
-        Dist::Exponential { mean } => mean,
-        ref other => {
-            return Err(ConfigError::new(format!(
-                "population engine is exact only for memoryless (exponential) service, got {other}"
-            ))
-            .into())
-        }
-    };
     let pop_info = match *info {
         InfoSpec::Fresh => PopInfo::Fresh,
         InfoSpec::Periodic { period } => PopInfo::Periodic { period },
@@ -163,8 +125,7 @@ fn validate(
                 "population engine supports fresh or periodic information (shared snapshot \
                  views), got {}; use the per-server engine",
                 other.label()
-            ))
-            .into())
+            )))
         }
     };
     let pop_policy = match *policy {
@@ -180,11 +141,10 @@ fn validate(
                 "population engine supports the symmetric policies random, k-subset, greedy, \
                  and basic-li, got {}; use the per-server engine",
                 other.label()
-            ))
-            .into())
+            )))
         }
     };
-    Ok((pop_policy, pop_info, svc_mean))
+    Ok((pop_policy, pop_info))
 }
 
 /// Samples a unit-rate Erlang(`stages`) variate: the sum of `stages`
@@ -279,7 +239,7 @@ enum Router {
     /// classes are non-empty and sorted ascending).
     Greedy,
     /// Basic LI: class `j` with probability `sizes[j]·p[j]`, via an alias
-    /// table or a cumulative-weight scan depending on the sampler.
+    /// table or (the test-only reference) a cumulative-weight scan.
     BasicLi {
         alias: Option<AliasTable>,
         cum: Vec<f64>,
@@ -300,13 +260,12 @@ fn build_alias(weights: &[f64]) -> Result<AliasTable, SimError> {
 impl Router {
     fn rebuild(
         policy: PopPolicy,
-        sampler: PopulationSampler,
+        use_alias: bool,
         boards: &[u32],
         sizes: &[u64],
         expected_arrivals: f64,
         scratch: &mut Vec<f64>,
     ) -> Result<Router, SimError> {
-        let use_alias = sampler == PopulationSampler::Alias;
         let size_alias = |scratch: &mut Vec<f64>| -> Result<Option<AliasTable>, SimError> {
             if use_alias {
                 scratch.clear();
@@ -633,8 +592,9 @@ fn fresh_route(
     }
 }
 
-/// Runs one population-mode simulation. Called by [`run_simulation`] when
-/// `cfg.engine` selects [`EngineMode::Population`].
+/// Runs one population-mode simulation. Called by [`run_simulation`],
+/// past its config gate, when `cfg.engine` selects
+/// [`EngineMode::Population`].
 ///
 /// [`run_simulation`]: crate::run_simulation
 /// [`EngineMode::Population`]: crate::EngineMode::Population
@@ -644,7 +604,22 @@ pub(crate) fn run_population(
     info: &InfoSpec,
     policy: &PolicySpec,
 ) -> Result<RunResult, SimError> {
-    let (pop_policy, pop_info, svc_mean) = validate(cfg, arrivals, info, policy)?;
+    run_sampled(cfg, arrivals, info, policy, true)
+}
+
+/// [`run_population`] with a choice of routing sampler: alias tables
+/// (`use_alias`), or the O(K) linear scans the tests compare them
+/// against. The two draw from the same distribution but consume the RNG
+/// differently.
+fn run_sampled(
+    cfg: &SimConfig,
+    arrivals: &ArrivalSpec,
+    info: &InfoSpec,
+    policy: &PolicySpec,
+    use_alias: bool,
+) -> Result<RunResult, SimError> {
+    let (pop_policy, pop_info) = supported_specs(cfg, arrivals, info, policy)?;
+    let svc_mean = cfg.service.mean();
 
     let mut master = SimRng::from_seed(cfg.seed);
     let mut arrival_rng = master.fork();
@@ -681,7 +656,7 @@ pub(crate) fn run_population(
     let mut positions: Vec<u64> = Vec::new();
     let mut router = Router::rebuild(
         pop_policy,
-        cfg.population_sampler,
+        use_alias,
         &classes.boards,
         &classes.sizes,
         expected_arrivals,
@@ -723,7 +698,7 @@ pub(crate) fn run_population(
             classes.refresh(&mut hist);
             router = Router::rebuild(
                 pop_policy,
-                cfg.population_sampler,
+                use_alias,
                 &classes.boards,
                 &classes.sizes,
                 expected_arrivals,
@@ -963,21 +938,15 @@ mod tests {
 
     #[test]
     fn alias_and_scan_samplers_agree_statistically() {
+        let cfg = pop_config(100, 0.9, 150_000, 5);
         let mut means = Vec::new();
-        for sampler in [PopulationSampler::Alias, PopulationSampler::Scan] {
-            let mut b = SimConfigBuilder::default();
-            b.servers(100)
-                .lambda(0.9)
-                .arrivals(150_000)
-                .engine(crate::EngineMode::Population)
-                .population_sampler(sampler)
-                .seed(5);
-            let cfg = b.build();
-            let r = run_population(
+        for use_alias in [true, false] {
+            let r = run_sampled(
                 &cfg,
                 &ArrivalSpec::Poisson,
                 &InfoSpec::Periodic { period: 4.0 },
                 &PolicySpec::BasicLi { lambda: 0.9 },
+                use_alias,
             )
             .expect("population run");
             means.push(r.mean_response);
@@ -1013,7 +982,7 @@ mod tests {
     #[test]
     fn unsupported_specs_are_typed_errors() {
         let cfg = pop_config(16, 0.8, 1_000, 1);
-        let err = |arr: &ArrivalSpec, info: &InfoSpec, pol: &PolicySpec| match run_population(
+        let err = |arr: &ArrivalSpec, info: &InfoSpec, pol: &PolicySpec| match crate::run_simulation(
             &cfg, arr, info, pol,
         ) {
             Err(SimError::Config(e)) => e.to_string(),
@@ -1043,7 +1012,7 @@ mod tests {
         hetero.engine = crate::EngineMode::Population;
         hetero.capacities = Some(vec![1.0; 16]);
         assert!(matches!(
-            run_population(
+            crate::run_simulation(
                 &hetero,
                 &ArrivalSpec::Poisson,
                 &InfoSpec::Fresh,
